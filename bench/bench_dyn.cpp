@@ -1,20 +1,18 @@
 // Supplementary bench **S16**: ingest throughput of the dynamic tier.
 //
-// Three measurements on the same shuffled edge stream:
+// Two measurements on the same shuffled edge stream:
 //
-//   pcsr single-edge — PmaCsr::add_edge one edge at a time: the classic
-//     uncompressed PMA baseline (what §II's PCSR citations provide).
 //   cpma batch — Cpma::insert_batch, the batch-parallel compressed PMA:
-//     the headline comparison; the whole stream lands in --batch-sized
-//     batches (default: one batch) across --threads.
+//     the whole stream lands in --batch-sized batches (default: one batch)
+//     across --threads, and again on one thread for scaling attribution.
 //   hybrid live ingest — HybridGraph::add_edges batches against a packed
 //     CSR base with opportunistic compaction after every batch: what the
 //     serving layer actually runs, so the reported rate includes toggle
 //     resolution against the base and any compactions the ratio triggers.
 //
 // Also reports the erase path (batch removal of half the stream) and the
-// resident bytes of each structure, since the CPMA's delta encoding is the
-// point of carrying it instead of a plain PMA.
+// resident bytes of the CPMA, since its delta encoding is the point of
+// carrying it instead of a plain PMA.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +23,6 @@
 
 #include "common.hpp"
 #include "csr/builder.hpp"
-#include "csr/pcsr.hpp"
 #include "dyn/hybrid.hpp"
 #include "graph/generators.hpp"
 #include "util/flags.hpp"
@@ -72,7 +69,7 @@ int main(int argc, char** argv) {
 
   // Unique skewed edges, then shuffled: R-MAT dedupe undershoots the asked
   // count, so over-ask and trim. The shuffle matters — sorted input would
-  // hand the single-edge baseline pure append behaviour.
+  // hand every insert pure append behaviour.
   std::fprintf(stderr, "[bench_dyn] building %zu-edge R-MAT stream...\n",
                want_edges);
   pcq::graph::EdgeList list = pcq::graph::rmat(
@@ -94,20 +91,6 @@ int main(int argc, char** argv) {
 
   std::printf("ingest stream: %zu unique edges, batch %zu, threads %d\n", n,
               batch, threads);
-
-  // --- pcsr single-edge baseline ---------------------------------------
-  double pcsr_insert_s, pcsr_bytes;
-  {
-    pcq::csr::PmaCsr pma;
-    pcq::util::Timer t;
-    for (const Edge& e : stream) pma.add_edge(e.u, e.v);
-    pcsr_insert_s = t.seconds();
-    pcsr_bytes = static_cast<double>(pma.size_bytes());
-    if (pma.num_edges() != n) std::abort();
-  }
-  std::printf("pcsr  single-edge insert  %10.0f edges/s  (%.3fs, %.1f B/edge)\n",
-              rate(n, pcsr_insert_s), pcsr_insert_s,
-              pcsr_bytes / static_cast<double>(n));
 
   // --- cpma batch-parallel ----------------------------------------------
   double cpma_insert_s, cpma_erase_s, cpma_bytes;
@@ -133,14 +116,11 @@ int main(int argc, char** argv) {
     cpma_erase_s = te.seconds();
     if (cpma.size() != n - victims.size()) std::abort();
   }
-  const double speedup = pcsr_insert_s / std::max(cpma_insert_s, 1e-12);
   std::printf("cpma  batch insert        %10.0f edges/s  (%.3fs, %.1f B/edge)\n",
               rate(n, cpma_insert_s), cpma_insert_s,
               cpma_bytes / static_cast<double>(n));
   std::printf("cpma  batch erase         %10.0f edges/s  (%.3fs)\n",
               rate(n / 2, cpma_erase_s), cpma_erase_s);
-  std::printf("cpma batch-insert speedup over pcsr single-edge: %.2fx\n",
-              speedup);
 
   // --- cpma single-thread batches (scaling attribution) -----------------
   double cpma_t1_insert_s;
@@ -202,20 +182,13 @@ int main(int argc, char** argv) {
                   base_edges, static_cast<unsigned long long>(seed));
     out << buf;
     std::snprintf(buf, sizeof buf,
-                  "\"pcsr\":{\"insert_edges_per_s\":%.1f,\"elapsed_s\":%.6f,"
-                  "\"bytes_per_edge\":%.2f},",
-                  rate(n, pcsr_insert_s), pcsr_insert_s,
-                  pcsr_bytes / static_cast<double>(n));
-    out << buf;
-    std::snprintf(buf, sizeof buf,
                   "\"cpma\":{\"insert_edges_per_s\":%.1f,\"insert_s\":%.6f,"
                   "\"erase_edges_per_s\":%.1f,\"erase_s\":%.6f,"
-                  "\"bytes_per_edge\":%.2f,\"t1_insert_edges_per_s\":%.1f,"
-                  "\"speedup_vs_pcsr\":%.3f},",
+                  "\"bytes_per_edge\":%.2f,\"t1_insert_edges_per_s\":%.1f},",
                   rate(n, cpma_insert_s), cpma_insert_s,
                   rate(n / 2, cpma_erase_s), cpma_erase_s,
                   cpma_bytes / static_cast<double>(n),
-                  rate(n, cpma_t1_insert_s), speedup);
+                  rate(n, cpma_t1_insert_s));
     out << buf;
     std::snprintf(buf, sizeof buf,
                   "\"hybrid\":{\"ingest_edges_per_s\":%.1f,\"elapsed_s\":%.6f,"

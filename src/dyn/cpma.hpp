@@ -18,16 +18,16 @@
 // parallel, and the windows an overflow/underflow touches are rebalanced
 // bottom-up with the merge/encode work parallelised across leaves.
 //
-// Reads are snapshot-consistent and never block: the entire structure is
-// an immutable State published through an atomic shared_ptr (an epoch
-// scheme — readers pin the epoch they loaded, writers publish a new one,
-// and an old epoch is reclaimed when its last reader drops it). A reader
-// holding a Snapshot can iterate, point-query and range-scan while any
-// number of insert_batch/erase_batch calls land; it simply keeps seeing
-// the version it pinned, never a half-rebalanced window. Writers serialize
-// on an internal mutex; untouched leaves are structurally shared between
-// epochs (shared_ptr per leaf), so a batch copies only the leaves it
-// rewrites plus the O(#leaves) directory.
+// Reads are snapshot-consistent and never wait on a writer: the entire
+// structure is an immutable State published through an atomic shared_ptr
+// (an epoch scheme — readers pin the epoch they loaded, writers publish a
+// new one, and an old epoch is reclaimed when its last reader drops it).
+// A reader holding a Snapshot can iterate, point-query and range-scan
+// while any number of insert_batch/erase_batch calls land; it simply keeps
+// seeing the version it pinned, never a half-rebalanced window. Writers
+// serialize on an internal mutex; untouched leaves are structurally shared
+// between epochs (shared_ptr per leaf), so a batch copies only the leaves
+// it rewrites plus the O(#leaves) directory.
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,8 @@
 
 namespace pcq::dyn {
 
-/// Packed edge key, ordered by (u, v) — the same layout PmaCsr uses.
+/// Packed edge key u << 32 | v, ordered by (u, v): a node's neighbour row
+/// is the contiguous key range [u << 32, (u + 1) << 32).
 using Key = std::uint64_t;
 
 inline constexpr Key key_of(graph::VertexId u, graph::VertexId v) {
@@ -142,7 +143,9 @@ class Cpma {
   Cpma() : Cpma(Config()) {}
   explicit Cpma(Config config);
 
-  /// Pins the current epoch (one atomic load; wait-free).
+  /// Pins the current epoch: one atomic shared_ptr load. Not lock-free —
+  /// libstdc++ guards it with a mutex from a hashed pool — but it never
+  /// takes write_mu_, so a reader never waits on a batch.
   [[nodiscard]] Snapshot snapshot() const;
 
   [[nodiscard]] std::size_t size() const { return snapshot().size(); }

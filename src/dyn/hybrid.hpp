@@ -1,13 +1,12 @@
 // pcq::dyn::HybridGraph — a bit-packed CSR base with a CPMA mutable tier.
 //
-// The same split DynamicCsr uses (static compressed base + mutation
-// buffer, queries see base XOR buffer), but with the buffer upgraded from
-// a single-threaded sorted vector to the batch-parallel, delta-compressed,
-// snapshot-readable Cpma — so ingest scales across cores and queries keep
+// A static compressed base plus a mutation buffer, with queries seeing
+// base XOR buffer. The buffer is the batch-parallel, delta-compressed,
+// snapshot-readable Cpma, so ingest scales across cores and queries keep
 // running against a pinned (base, delta) pair while batches land.
 //
-// Parity rule (identical to DynamicCsr and the Section IV time frames): a
-// key present in the delta *toggles* the base. add_edges/remove_edges
+// Parity rule (the one the Section IV time frames use): a key present in
+// the delta *toggles* the base. add_edges/remove_edges
 // translate intent into toggles against the current base — adding an edge
 // the base already has erases its pending-removal key (if any) instead of
 // inserting, and vice versa — so the delta never accumulates no-ops and
@@ -100,7 +99,9 @@ class HybridGraph {
       : HybridGraph(std::move(base), Config()) {}
   HybridGraph(csr::BitPackedCsr base, Config config);
 
-  /// Pins the current State (one atomic load; wait-free).
+  /// Pins the current State: one atomic shared_ptr load. Not lock-free —
+  /// libstdc++ guards it with a mutex from a hashed pool — but it never
+  /// takes write_mu_, so a reader never waits on a batch or compaction.
   [[nodiscard]] View view() const { return View(load_state()); }
 
   [[nodiscard]] graph::VertexId num_nodes() const {

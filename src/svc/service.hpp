@@ -99,8 +99,9 @@ class QueryService {
   /// tier. Reads pin one HybridGraph::View per batch (snapshot-consistent
   /// against concurrent mutations from other shards); a batch's mutations
   /// coalesce into one add_edges/remove_edges call, after which the worker
-  /// opportunistically runs the ratio-triggered compaction — readers stay
-  /// wait-free throughout, only co-writers block on it.
+  /// opportunistically runs the ratio-triggered compaction. Readers never
+  /// take the graph's writer mutex and never wait on a batch or
+  /// compaction; only co-writers block on it.
   QueryService(dyn::HybridGraph& graph, const tcsr::DifferentialTcsr* history,
                ServiceConfig config);
 

@@ -170,12 +170,27 @@ TEST(Cpma, RowScan) {
   keys.push_back(key_of(41, 9999));
   keys.push_back(key_of(43, 0));
   cpma.insert_batch(keys, 2);
-  const auto row = cpma.snapshot().row(42);
+  // A hub of 3000 neighbours (~3 KB of deltas) lands in a second batch and
+  // spreads over many leaves; its row scan must stitch them back in order.
+  std::vector<graph::VertexId> hub;
+  std::vector<Key> hub_keys;
+  for (graph::VertexId v = 0; v < 9000; v += 3) {
+    hub.push_back(v);
+    hub_keys.push_back(key_of(7, v));
+  }
+  cpma.insert_batch(hub_keys, 2);
+  const Cpma::Snapshot snap = cpma.snapshot();
+  const auto& heads = snap.state().heads;
+  const auto hub_leaves = std::count_if(heads.begin(), heads.end(), [](Key h) {
+    return h != Cpma::kNoKey && key_u(h) == 7;
+  });
+  ASSERT_GT(hub_leaves, 4);
+  EXPECT_EQ(snap.row(7), hub);
   std::vector<graph::VertexId> expect;
   for (graph::VertexId v = 10; v < 500; v += 7) expect.push_back(v);
-  EXPECT_EQ(row, expect);
-  EXPECT_TRUE(cpma.snapshot().row(40).empty());
-  EXPECT_EQ(cpma.snapshot().row(43), std::vector<graph::VertexId>{0});
+  EXPECT_EQ(snap.row(42), expect);
+  EXPECT_TRUE(snap.row(40).empty());
+  EXPECT_EQ(snap.row(43), std::vector<graph::VertexId>{0});
 }
 
 TEST(Cpma, SnapshotIsolation) {

@@ -1,7 +1,6 @@
-// pcq::dyn::HybridGraph — differential tests against DynamicCsr (the
-// single-threaded reference with the identical parity rule) and against a
-// std::set oracle, across mutation batches AND compactions; plus snapshot
-// isolation and concurrent readers racing writers/compaction (TSan).
+// pcq::dyn::HybridGraph — differential tests against a std::set oracle,
+// across mutation batches AND compactions; plus snapshot isolation and
+// concurrent readers racing writers/compaction (TSan).
 #include "dyn/hybrid.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "csr/builder.hpp"
-#include "csr/dynamic.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -123,10 +121,15 @@ TEST(HybridGraph, ToggleCancellation) {
   EXPECT_EQ(hybrid.delta_keys(), 1u);
 }
 
-TEST(HybridGraph, MatchesDynamicCsrUnderChurn) {
-  HybridGraph hybrid(make_base(15));
-  csr::DynamicCsr reference(hybrid.view().base());
+TEST(HybridGraph, MatchesSetOracleUnderChurn) {
+  // A low threshold so the ratio trigger fires several times mid-churn.
+  HybridGraph::Config config;
+  config.compact_ratio = 0.05;
+  config.compact_min_keys = 256;
+  HybridGraph hybrid(make_base(15), config);
+  auto oracle = edge_set(hybrid.view().base());
   SplitMix64 rng(15);
+  int compactions = 0;
   for (int round = 0; round < 25; ++round) {
     std::vector<Edge> batch;
     for (int i = 0; i < 400; ++i)
@@ -135,16 +138,21 @@ TEST(HybridGraph, MatchesDynamicCsrUnderChurn) {
     const bool add = rng.next_bool(0.6);
     if (add) {
       hybrid.add_edges(batch, 4);
-      for (const Edge& e : batch) reference.add_edge(e.u, e.v);
+      for (const Edge& e : batch) oracle.insert({e.u, e.v});
     } else {
       hybrid.remove_edges(batch, 4);
-      for (const Edge& e : batch) reference.remove_edge(e.u, e.v);
+      for (const Edge& e : batch) oracle.erase({e.u, e.v});
     }
-    ASSERT_EQ(hybrid.num_edges(), reference.num_edges()) << "round " << round;
+    ASSERT_EQ(hybrid.num_edges(), oracle.size()) << "round " << round;
+    if (round % 3 == 2 && hybrid.maybe_compact(4)) {
+      ++compactions;
+      ASSERT_EQ(hybrid.delta_keys(), 0u) << "round " << round;
+      ASSERT_EQ(edge_set(hybrid.view().base()), oracle) << "round " << round;
+    }
   }
-  const HybridGraph::View view = hybrid.view();
-  for (VertexId u = 0; u < kNodes; ++u)
-    ASSERT_EQ(view.neighbors(u), reference.neighbors(u)) << "row " << u;
+  RecordProperty("compactions", compactions);
+  EXPECT_GE(compactions, 1);
+  expect_matches(hybrid, oracle);
 }
 
 TEST(HybridGraph, CompactionPreservesEdgeSet) {

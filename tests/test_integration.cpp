@@ -12,8 +12,8 @@
 #include "algos/pagerank.hpp"
 #include "algos/stats.hpp"
 #include "csr/builder.hpp"
-#include "csr/pcsr.hpp"
 #include "csr/query.hpp"
+#include "dyn/hybrid.hpp"
 #include "graph/baselines.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -171,7 +171,8 @@ TEST(Integration, SixtyFourThreadOversubscription) {
 
 TEST(Integration, AllCompressedStructuresAgreeOnQueries) {
   // The full comparator spectrum — plain CSR, bit-packed CSR, gap+zeta,
-  // k²-tree, PMA — answers one query battery identically.
+  // k²-tree, the mutable hybrid tier — answers one query battery
+  // identically.
   EdgeList list = graph::rmat(1 << 9, 12'000, 0.57, 0.19, 0.19, 37, 4);
   list.sort(4);
   list.dedupe();
@@ -181,7 +182,21 @@ TEST(Integration, AllCompressedStructuresAgreeOnQueries) {
   const graph::GapZetaGraph zeta =
       graph::GapZetaGraph::build_from_sorted(list, n, 3, 4);
   const graph::K2Tree k2 = graph::K2Tree::build(list, n, 2, 4);
-  const csr::PmaCsr pma(list);
+  // Hybrid: a packed base of every other edge, the rest added as one
+  // batch, so its answers come through both the base and delta paths.
+  EdgeList base_half;
+  std::vector<Edge> delta_half;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i % 2 == 0)
+      base_half.push_back(list.edges()[i]);
+    else
+      delta_half.push_back(list.edges()[i]);
+  }
+  dyn::HybridGraph hybrid(
+      csr::build_bitpacked_csr_from_sorted(base_half, n, 4));
+  ASSERT_EQ(hybrid.add_edges(delta_half, 4), delta_half.size());
+  const dyn::HybridGraph::View mutable_view = hybrid.view();
+  EXPECT_EQ(mutable_view.num_edges(), list.size());
 
   util::SplitMix64 rng(39);
   for (int i = 0; i < 1500; ++i) {
@@ -191,7 +206,7 @@ TEST(Integration, AllCompressedStructuresAgreeOnQueries) {
     ASSERT_EQ(packed.has_edge(u, v), expect) << u << "," << v;
     ASSERT_EQ(zeta.has_edge(u, v), expect) << u << "," << v;
     ASSERT_EQ(k2.has_edge(u, v), expect) << u << "," << v;
-    ASSERT_EQ(pma.has_edge(u, v), expect) << u << "," << v;
+    ASSERT_EQ(mutable_view.has_edge(u, v), expect) << u << "," << v;
   }
   for (VertexId u = 0; u < n; u += 31) {
     const auto expect = plain.neighbors(u);
@@ -199,7 +214,7 @@ TEST(Integration, AllCompressedStructuresAgreeOnQueries) {
     EXPECT_EQ(packed.neighbors(u), expect_v);
     EXPECT_EQ(zeta.neighbors(u), expect_v);
     EXPECT_EQ(k2.neighbors(u), expect_v);
-    EXPECT_EQ(pma.neighbors(u), expect_v);
+    EXPECT_EQ(mutable_view.neighbors(u), expect_v);
   }
 }
 

@@ -14,7 +14,7 @@
 
 #include "algos/components.hpp"
 #include "csr/builder.hpp"
-#include "csr/pcsr.hpp"
+#include "dyn/hybrid.hpp"
 #include "graph/baselines.hpp"
 #include "graph/generators.hpp"
 #include "graph/k2tree.hpp"
@@ -47,14 +47,27 @@ TEST_P(StaticCrossCheck, FiveStructuresOneTruth) {
   const graph::GapZetaGraph zeta =
       graph::GapZetaGraph::build_from_sorted(list, kN, 3, 4);
   const graph::K2Tree k2 = graph::K2Tree::build(list, kN, 4, 4);
-  const csr::PmaCsr pma(list);
   const graph::AdjacencyListGraph adj(list, kN);
+  // The mutable tier: a packed base of every other edge, the rest added as
+  // one batch, so its answers come through both the base and delta paths.
+  EdgeList base_half;
+  std::vector<graph::Edge> delta_half;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i % 2 == 0)
+      base_half.push_back(list.edges()[i]);
+    else
+      delta_half.push_back(list.edges()[i]);
+  }
+  dyn::HybridGraph hybrid(
+      csr::build_bitpacked_csr_from_sorted(base_half, kN, 4));
+  ASSERT_EQ(hybrid.add_edges(delta_half, 4), delta_half.size());
+  const dyn::HybridGraph::View mutable_view = hybrid.view();
 
   // Degree sums agree everywhere.
   std::uint64_t deg_sum = 0;
   for (VertexId u = 0; u < kN; ++u) deg_sum += plain.degree(u);
   EXPECT_EQ(deg_sum, list.size());
-  EXPECT_EQ(pma.num_edges(), list.size());
+  EXPECT_EQ(mutable_view.num_edges(), list.size());
   EXPECT_EQ(k2.num_edges(), list.size());
 
   util::SplitMix64 rng(seed ^ 0xabcdef);
@@ -66,7 +79,7 @@ TEST_P(StaticCrossCheck, FiveStructuresOneTruth) {
     ASSERT_EQ(packed.has_edge(u, v), expect);
     ASSERT_EQ(zeta.has_edge(u, v), expect);
     ASSERT_EQ(k2.has_edge(u, v), expect);
-    ASSERT_EQ(pma.has_edge(u, v), expect);
+    ASSERT_EQ(mutable_view.has_edge(u, v), expect);
   }
   for (VertexId u = 0; u < kN; u += 17) {
     const auto row = plain.neighbors(u);
@@ -74,7 +87,7 @@ TEST_P(StaticCrossCheck, FiveStructuresOneTruth) {
     ASSERT_EQ(packed.neighbors(u), expect);
     ASSERT_EQ(zeta.neighbors(u), expect);
     ASSERT_EQ(k2.neighbors(u), expect);
-    ASSERT_EQ(pma.neighbors(u), expect);
+    ASSERT_EQ(mutable_view.neighbors(u), expect);
   }
 }
 
