@@ -36,7 +36,7 @@ std::vector<std::uint32_t> bfs_impl(const Graph& g, VertexId source,
     pcq::par::parallel_for_chunks(
         frontier.size(), static_cast<int>(p),
         [&](std::size_t c, pcq::par::ChunkRange r) {
-          auto& local = next[c];
+          std::vector<VertexId> local;
           for (std::size_t i = r.begin; i < r.end; ++i) {
             for (VertexId v : row_for(frontier[i])) {
               std::uint32_t expected = kUnreachable;
@@ -46,6 +46,7 @@ std::vector<std::uint32_t> bfs_impl(const Graph& g, VertexId source,
               }
             }
           }
+          next[c] = std::move(local);
         });
     frontier.clear();
     for (auto& local : next)

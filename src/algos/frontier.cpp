@@ -89,13 +89,14 @@ VertexSubset FrontierEngine::edge_map(
     pcq::par::parallel_for_chunks(
         src.size(), static_cast<int>(p),
         [&](std::size_t c, pcq::par::ChunkRange r) {
-          auto& local = next[c];
+          std::vector<VertexId> local;
           for (std::size_t i = r.begin; i < r.end; ++i) {
             const VertexId u = src[i];
             for (VertexId v : out_.neighbors(u)) {
               if (cond(v) && update(u, v)) local.push_back(v);
             }
           }
+          next[c] = std::move(local);
         });
     std::vector<VertexId> merged;
     for (auto& local : next)

@@ -58,7 +58,7 @@ std::vector<std::uint64_t> sssp_bellman_ford(const csr::WeightedCsr& g,
     pcq::par::parallel_for_chunks(
         frontier.size(), static_cast<int>(p),
         [&](std::size_t c, pcq::par::ChunkRange r) {
-          auto& local = next[c];
+          std::vector<VertexId> local;
           for (std::size_t i = r.begin; i < r.end; ++i) {
             const VertexId v = frontier[i];
             const std::uint64_t dv = dist[v].load(std::memory_order_relaxed);
@@ -80,6 +80,7 @@ std::vector<std::uint64_t> sssp_bellman_ford(const csr::WeightedCsr& g,
               }
             }
           }
+          next[c] = std::move(local);
         });
     frontier.clear();
     for (auto& local : next)

@@ -75,13 +75,14 @@ EdgeList induced_subgraph(const EdgeList& list,
   std::vector<std::vector<Edge>> kept(chunks == 0 ? 1 : chunks);
   pcq::par::parallel_for_chunks(
       edges.size(), static_cast<int>(p), [&](std::size_t c, pcq::par::ChunkRange r) {
-        auto& local = kept[c];
+        std::vector<Edge> local;
         for (std::size_t i = r.begin; i < r.end; ++i) {
           const Edge& e = edges[i];
           PCQ_DCHECK(e.u < keep.size() && e.v < keep.size());
           if (keep[e.u] && keep[e.v])
             local.push_back({new_id[e.u], new_id[e.v]});
         }
+        kept[c] = std::move(local);
       });
 
   EdgeList out;

@@ -9,7 +9,8 @@
 //   query     <g.csr> --node U | --edge U,V [--threads N] [--mmap]
 //             answers a neighbourhood or edge-existence query; --mmap
 //             answers it from a zero-copy mapped view of the file.
-//   convert   <in.txt> --out out.bin   (text <-> binary edge lists)
+//   convert   <in.txt> --out out.bin [--threads N]
+//             converts between text and binary edge lists.
 //   tcompress <events.txt> --out h.tcsr [--threads N]
 //             builds and saves the differential TCSR of a temporal list.
 //   tquery    <h.tcsr> --edge U,V --frame T | --node U --frame T [--mmap]
@@ -18,7 +19,8 @@
 //             artifact; exit 0 = valid, 4 = invariant violations (printed).
 //
 // Input format is inferred from the extension: .txt (SNAP text), .bin
-// (pcq binary edge list), .csr / .tcsr (compressed artifacts).
+// (pcq binary edge list), .csr / .tcsr (compressed artifacts). Text inputs
+// are parsed with the --threads count too.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -56,9 +58,9 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
 }
 
-graph::EdgeList load_edges(const std::string& path) {
+graph::EdgeList load_edges(const std::string& path, int threads) {
   if (ends_with(path, ".bin")) return graph::load_binary(path);
-  return graph::load_snap_text(path);
+  return graph::load_snap_text(path, threads);
 }
 
 /// Parses "U,V" into an edge.
@@ -99,7 +101,7 @@ int cmd_compress(const util::Flags& flags, const std::string& input) {
   const std::string out = flags.get("out", input + ".csr");
 
   util::Timer timer;
-  graph::EdgeList list = load_edges(input);
+  graph::EdgeList list = load_edges(input, threads);
   std::printf("loaded %s edges (%s) in %s\n",
               util::with_commas(list.size()).c_str(),
               util::human_bytes(list.size_bytes()).c_str(),
@@ -152,7 +154,7 @@ int cmd_stats(const util::Flags& flags, const std::string& input) {
     compressed_bytes = packed.size_bytes();
     csr = packed.to_csr();
   } else {
-    graph::EdgeList list = load_edges(input);
+    graph::EdgeList list = load_edges(input, threads);
     list.sort_radix(threads);
     csr = csr::build_csr_from_sorted(list, 0, threads);
     compressed_bytes =
@@ -235,7 +237,7 @@ int cmd_compare(const util::Flags& flags, const std::string& input) {
   // One-graph storage comparison across every structure the library
   // implements (the S2 bench for the user's own data).
   const int threads = static_cast<int>(flags.get_int("threads", 0));
-  graph::EdgeList list = load_edges(input);
+  graph::EdgeList list = load_edges(input, threads);
   list.sort_radix(threads);
   list.dedupe();
   const VertexId n = list.num_nodes();
@@ -272,7 +274,8 @@ int cmd_convert(const util::Flags& flags, const std::string& input) {
     std::fprintf(stderr, "error: convert needs --out\n");
     return 2;
   }
-  const graph::EdgeList list = load_edges(input);
+  const int threads = static_cast<int>(flags.get_int("threads", 0));
+  const graph::EdgeList list = load_edges(input, threads);
   if (ends_with(out, ".bin"))
     graph::save_binary(list, out);
   else
@@ -286,7 +289,7 @@ int cmd_tcompress(const util::Flags& flags, const std::string& input) {
   maybe_enable_tracing(flags);
   const int threads = static_cast<int>(flags.get_int("threads", 0));
   const std::string out = flags.get("out", input + ".tcsr");
-  graph::TemporalEdgeList events = graph::load_temporal_text(input);
+  graph::TemporalEdgeList events = graph::load_temporal_text(input, threads);
   events.sort(threads);
   util::Timer timer;
   const auto tcsr = tcsr::DifferentialTcsr::build(events, 0, 0, threads);
@@ -302,7 +305,7 @@ int cmd_tcompare(const util::Flags& flags, const std::string& input) {
   // Storage comparison across the temporal structures for the user's own
   // event history.
   const int threads = static_cast<int>(flags.get_int("threads", 0));
-  graph::TemporalEdgeList events = graph::load_temporal_text(input);
+  graph::TemporalEdgeList events = graph::load_temporal_text(input, threads);
   events.sort(threads);
   const auto nodes = events.num_nodes();
   const auto frames = events.num_frames();
