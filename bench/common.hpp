@@ -63,7 +63,7 @@ std::vector<GraphResult> run_all_experiments(const ExperimentConfig& config);
 double speedup_percent(double t1, double tp);
 
 /// Analytic scaling model, calibrated from the measured p = 1 per-phase
-/// times. This container exposes a single core, so oversubscribed OpenMP
+/// times. On a host with fewer cores than p, oversubscribed threads
 /// cannot exhibit real parallel speedup; the model projects what the same
 /// phase structure yields with p real processors (see DESIGN.md §1.3):
 ///

@@ -1,12 +1,9 @@
 #include "algos/betweenness.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <vector>
 
-#include "par/chunking.hpp"
-#include "par/threads.hpp"
+#include "par/parallel_for.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -65,34 +62,33 @@ std::vector<double> run_sources(const csr::CsrGraph& g,
                                 const std::vector<VertexId>& sources,
                                 int num_threads) {
   const VertexId n = g.num_nodes();
-  const int p = pcq::par::clamp_threads(num_threads);
 
   // Coarse-grained, with thread-count-invariant accumulation (the repo-wide
   // bit-for-bit contract): sources are split into a FIXED number of
   // contiguous chunks whose boundaries depend only on the source count —
   // never on p — each chunk accumulates its own partial serially in source
-  // order, threads pick whole chunks, and the final reduction walks chunks
-  // in index order. The grouping of the floating-point sums is therefore
-  // identical whatever p is; a per-THREAD partial under dynamic scheduling
-  // would regroup the non-associative additions run to run.
+  // order, processors take contiguous runs of whole chunks, and the final
+  // reduction walks chunks in index order. The grouping of the
+  // floating-point sums is therefore identical whatever p is; a
+  // per-processor partial would regroup the non-associative additions.
   constexpr std::size_t kMaxChunks = 32;
   const std::size_t k = std::min(sources.size(), kMaxChunks);
   std::vector<double> score(n, 0.0);
   if (k == 0) return score;
   std::vector<std::vector<double>> partial(k, std::vector<double>(n, 0.0));
-#pragma omp parallel num_threads(p)
-  {
-    std::vector<std::uint32_t> dist;
-    std::vector<double> sigma, delta;
-    std::vector<VertexId> order;
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto [begin, end] = pcq::par::chunk_range(sources.size(), k, c);
-      for (std::size_t i = begin; i < end; ++i)
-        brandes_from_source(g, sources[i], partial[c], dist, sigma, delta,
-                            order);
-    }
-  }
+  pcq::par::parallel_for_chunks(
+      k, num_threads, [&](std::size_t, pcq::par::ChunkRange chunks) {
+        std::vector<std::uint32_t> dist;
+        std::vector<double> sigma, delta;
+        std::vector<VertexId> order;
+        for (std::size_t c = chunks.begin; c < chunks.end; ++c) {
+          const auto [begin, end] =
+              pcq::par::chunk_range(sources.size(), k, c);
+          for (std::size_t i = begin; i < end; ++i)
+            brandes_from_source(g, sources[i], partial[c], dist, sigma,
+                                delta, order);
+        }
+      });
 
   for (const auto& part : partial)
     for (VertexId v = 0; v < n; ++v) score[v] += part[v];

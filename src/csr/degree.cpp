@@ -43,8 +43,8 @@ std::vector<std::uint32_t> parallel_degree_from_sorted(
   // globalTempDegree: one spill slot per processor for its first run.
   std::vector<std::uint32_t> temp(chunks, 0);
 
-  // Algorithm 2, one invocation per chunk. The implicit barrier at the end
-  // of the region is Algorithm 3's sync().
+  // Algorithm 2, one invocation per chunk. The join at the end of
+  // parallel_for_chunks is Algorithm 3's sync().
   {
     PCQ_TRACE_SCOPE("degree.count", chunks);
     pcq::par::parallel_for_chunks(

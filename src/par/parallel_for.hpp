@@ -1,19 +1,17 @@
-// parallel_for / parallel_for_chunks — thin OpenMP wrappers (std::thread
-// backend under PCQ_PAR_STD_THREADS, used by the TSan preset).
+// parallel_for / parallel_for_chunks — the one fork-join runtime.
 //
 // Two idioms cover everything in the paper:
 //   * parallel_for:        independent per-element loops (query batches),
 //   * parallel_for_chunks: the chunk-per-processor pattern of Algorithms
 //                          1-5, where the body needs to know its chunk id
 //                          and bounds (for spill arrays indexed by pid).
+//
+// Both run on a persistent team of std::thread workers owned by the calling
+// thread (parallel_for.cpp): chunk 0 runs on the caller, chunk c on team
+// member c, and the call returns once every chunk is done (the paper's
+// sync()). A call made from inside a chunk body runs its chunks inline, in
+// chunk order, on that thread. An exception escaping a body terminates.
 #pragma once
-
-#if defined(PCQ_PAR_STD_THREADS)
-#include <thread>
-#include <vector>
-#else
-#include <omp.h>
-#endif
 
 #include <cstddef>
 
@@ -22,71 +20,18 @@
 
 namespace pcq::par {
 
-#if defined(PCQ_PAR_STD_THREADS)
+namespace detail {
 
-// std::thread backend, selected by the TSan build (PCQ_SANITIZE=thread).
-// libgomp's barriers are invisible to an uninstrumented TSan runtime, so
-// every OpenMP fork/join reports a false race; pthread create/join is
-// fully understood, which keeps *real* races in the chunk logic (merge
-// boundary words, spill arrays) visible. Semantics match the OpenMP
-// backend: one chunk per "processor", chunk id == thread id.
+using ChunkBody = void (*)(void* ctx, std::size_t chunk) noexcept;
 
-/// Runs fn(i) for i in [0, n) using `num_threads` threads with static
-/// scheduling. fn must be safe to call concurrently for distinct i.
-template <typename Fn>
-void parallel_for(std::size_t n, int num_threads, Fn&& fn) {
-  const int p = clamp_threads(num_threads);
-  if (p == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::size_t chunks =
-      num_nonempty_chunks(n, static_cast<std::size_t>(p));
-  std::vector<std::thread> workers;
-  workers.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c)
-    workers.emplace_back([&fn, n, chunks, c] {
-      const ChunkRange r = chunk_range(n, chunks, c);
-      for (std::size_t i = r.begin; i < r.end; ++i) fn(i);
-    });
-  for (auto& t : workers) t.join();
-}
+/// Runs body(ctx, c) for every c in [0, chunks), chunks >= 2, on the calling
+/// thread's team (inline and in order when called from inside a chunk).
+void fork_join(std::size_t chunks, ChunkBody body, void* ctx);
+
+}  // namespace detail
 
 /// Runs fn(chunk_id, range) once per chunk, with chunk `c` handled by
-/// thread `c`.
-template <typename Fn>
-void parallel_for_chunks(std::size_t n, int num_threads, Fn&& fn) {
-  const std::size_t p = static_cast<std::size_t>(clamp_threads(num_threads));
-  const std::size_t chunks = num_nonempty_chunks(n, p);
-  if (chunks <= 1) {
-    if (n > 0) fn(std::size_t{0}, ChunkRange{0, n});
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c)
-    workers.emplace_back(
-        [&fn, n, chunks, c] { fn(c, chunk_range(n, chunks, c)); });
-  for (auto& t : workers) t.join();
-}
-
-#else  // OpenMP backend (default)
-
-/// Runs fn(i) for i in [0, n) using `num_threads` threads with static
-/// scheduling. fn must be safe to call concurrently for distinct i.
-template <typename Fn>
-void parallel_for(std::size_t n, int num_threads, Fn&& fn) {
-  const int p = clamp_threads(num_threads);
-  if (p == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-#pragma omp parallel for num_threads(p) schedule(static)
-  for (std::size_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Runs fn(chunk_id, range) once per chunk, with chunk `c` handled by
-/// thread `c`. This mirrors the paper's "do in parallel: for each
+/// processor `c`. This mirrors the paper's "do in parallel: for each
 /// processor" blocks: chunk id == processor id, and boundaries come from
 /// chunk_range so cooperating algorithms can reason about neighbours.
 template <typename Fn>
@@ -97,15 +42,26 @@ void parallel_for_chunks(std::size_t n, int num_threads, Fn&& fn) {
     if (n > 0) fn(std::size_t{0}, ChunkRange{0, n});
     return;
   }
-  // A worksharing loop over chunk ids (rather than a bare parallel region
-  // keyed on omp_get_thread_num) guarantees every chunk runs even when the
-  // runtime delivers fewer threads than requested.
-#pragma omp parallel for num_threads(static_cast<int>(chunks)) schedule(static, 1)
-  for (std::size_t c = 0; c < chunks; ++c) {
-    fn(c, chunk_range(n, chunks, c));
-  }
+  struct Job {
+    Fn& fn;
+    std::size_t n, chunks;
+  } job{fn, n, chunks};
+  detail::fork_join(
+      chunks,
+      [](void* ctx, std::size_t c) noexcept {
+        Job& j = *static_cast<Job*>(ctx);
+        j.fn(c, chunk_range(j.n, j.chunks, c));
+      },
+      &job);
 }
 
-#endif  // PCQ_PAR_STD_THREADS
+/// Runs fn(i) for i in [0, n) using `num_threads` threads with static
+/// scheduling. fn must be safe to call concurrently for distinct i.
+template <typename Fn>
+void parallel_for(std::size_t n, int num_threads, Fn&& fn) {
+  parallel_for_chunks(n, num_threads, [&fn](std::size_t, ChunkRange r) {
+    for (std::size_t i = r.begin; i < r.end; ++i) fn(i);
+  });
+}
 
 }  // namespace pcq::par

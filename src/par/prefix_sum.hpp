@@ -11,7 +11,7 @@
 //      phase 2 already finalized.
 //
 // `chunked_inclusive_scan` implements exactly this schedule. The sync()
-// points are realised as OpenMP region boundaries and the locked carry loop
+// points are realised as fork-join boundaries and the locked carry loop
 // as a single-threaded pass — operationally identical to the paper's
 // lock-step description and immune to its chunk-ordering hazard (a chunk
 // whose lock acquisition beat its left neighbour's would otherwise read a
@@ -56,8 +56,8 @@ void chunked_inclusive_scan(std::span<T> v, int num_threads, Op op = {}) {
     return;
   }
 
-  // Phase 1 (lines 2-3): independent local scans. The implicit barrier at
-  // the end of the parallel region is the paper's first sync().
+  // Phase 1 (lines 2-3): independent local scans. The join at the end of
+  // parallel_for_chunks is the paper's first sync().
   {
     PCQ_TRACE_SCOPE("scan.local", chunks);
     parallel_for_chunks(n, static_cast<int>(chunks),

@@ -1,14 +1,15 @@
 // Thread-count plumbing.
 //
 // The paper's experiments sweep p ∈ {1, 4, 8, 16, 64} "processors"; in this
-// implementation a processor is an OpenMP thread. Every parallel entry point
-// takes an explicit thread count so the benchmark harnesses can sweep p
-// without touching global OpenMP state.
+// implementation a processor is a member of the calling thread's fork-join
+// team (par/parallel_for.hpp). Every parallel entry point takes an explicit
+// thread count so the benchmark harnesses can sweep p without global state.
 #pragma once
 
 namespace pcq::par {
 
-/// Hardware concurrency as reported by OpenMP (maximum useful p).
+/// CPUs in the affinity mask the process started with (maximum useful p);
+/// std::thread::hardware_concurrency() where the mask is unavailable.
 int hardware_threads();
 
 /// Clamps a requested thread count to [1, limit]; requested <= 0 means

@@ -9,7 +9,6 @@
 #include "obs/slowlog.hpp"
 #include "obs/trace.hpp"
 #include "par/parallel_for.hpp"
-#include "par/worker_pool.hpp"
 #include "tcsr/journeys.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -55,11 +54,9 @@ void QueryService::start_workers() {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
     shards_.back()->index = static_cast<std::uint32_t>(s);
   }
-  pool_ = std::make_unique<par::WorkerPool>(config_.shards);
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    pool_->submit([this, raw] { shard_loop(*raw); });
-  }
+  workers_.reserve(shards_.size());
+  for (auto& shard : shards_)
+    workers_.emplace_back([this, raw = shard.get()] { shard_loop(*raw); });
 }
 
 graph::VertexId QueryService::num_nodes() const {
@@ -74,13 +71,12 @@ QueryService::~QueryService() { stop(); }
 void QueryService::stop() {
   // Only one caller wins the exchange; a concurrent second stop() (signal
   // handler path vs. destructor) returns immediately instead of racing on
-  // the queue close / pool teardown below.
+  // the queue close / worker joins below.
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
   for (auto& shard : shards_) shard->queue.close();
-  // WorkerPool's destructor closes its job queue and joins; the shard
-  // loops exit once their queues drain, so everything still queued is
-  // answered before stop() returns.
-  pool_.reset();
+  // The shard loops exit once their queues drain, so everything still
+  // queued is answered before stop() returns.
+  for (auto& worker : workers_) worker.join();
 }
 
 std::size_t QueryService::shard_of(VertexId u) const {

@@ -9,9 +9,11 @@
 //           ──try_push──► shard S: [bounded MPMC queue] ──► worker S ─┘
 //
 // Requests are routed to a shard by hash(u); each shard owns its queue,
-// its metrics block and one persistent worker (a pcq::par::WorkerPool
-// job), so shards never share mutable state — the only cross-thread
-// traffic is the queue handoff and the immutable graph reads.
+// its metrics block and one persistent worker thread, so shards never
+// share mutable state — the only cross-thread traffic is the queue
+// handoff and the immutable graph reads. With kernel_threads > 1 each
+// worker forks its own par team, so shards' batches still run side by
+// side.
 //
 // Each worker runs the adaptive micro-batching loop: pop a batch (flush
 // on batch-size OR batch-window deadline, whichever first), partition it
@@ -33,6 +35,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "csr/bitpacked_csr.hpp"
@@ -41,10 +44,6 @@
 #include "svc/mpmc_queue.hpp"
 #include "svc/request.hpp"
 #include "tcsr/tcsr.hpp"
-
-namespace pcq::par {
-class WorkerPool;
-}
 
 namespace pcq::dyn {
 class HybridGraph;
@@ -170,11 +169,11 @@ class QueryService {
   const tcsr::DifferentialTcsr* history_;
   ServiceConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<par::WorkerPool> pool_;
   Clock::time_point started_;
   /// exchange() makes stop() idempotent under concurrent callers (signal
   /// path vs. destructor) — a plain bool read-modify-write here is a race.
   std::atomic<bool> stopped_{false};
+  std::vector<std::thread> workers_;  ///< one per shard, joined by stop()
 };
 
 }  // namespace pcq::svc

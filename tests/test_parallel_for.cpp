@@ -2,14 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "par/threads.hpp"
 
 namespace pcq::par {
 namespace {
+
+/// A number no other thread of this process ever had. Unlike
+/// std::thread::id, it is never recycled when a thread exits, so equal
+/// serials in two calls mean the same thread really served both.
+std::uint64_t thread_serial() {
+  static std::atomic<std::uint64_t> next{0};
+  thread_local const std::uint64_t serial =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return serial;
+}
+
+/// The serial of the thread that ran each chunk of one call at p threads.
+std::vector<std::uint64_t> chunk_threads(int p) {
+  std::vector<std::uint64_t> serials(static_cast<std::size_t>(p));
+  parallel_for_chunks(serials.size() * 100, p, [&](std::size_t c, ChunkRange) {
+    serials[c] = thread_serial();
+  });
+  return serials;
+}
 
 TEST(ClampThreads, Bounds) {
   EXPECT_GE(clamp_threads(0), 1);          // 0 -> hardware concurrency
@@ -19,8 +45,29 @@ TEST(ClampThreads, Bounds) {
   EXPECT_EQ(clamp_threads(50, 8), 8);      // explicit limit
 }
 
+#if defined(__linux__)
+TEST(HardwareThreads, ProcessMaskNotCallingThreadMask) {
+  // Asked first from a thread pinned to one CPU, it still reports the
+  // process's count: the mask is read at load, on the main thread.
+  int pinned_view = 0;
+  std::thread([&pinned_view] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0)
+      pinned_view = hardware_threads();
+  }).join();
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(hardware_threads(), CPU_COUNT(&mask));
+  if (pinned_view != 0) {
+    EXPECT_EQ(pinned_view, CPU_COUNT(&mask));
+  }
+}
+#endif
+
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  for (int p : {1, 2, 4, 8, 64}) {
+  for (int p : {1, 2, 4, 8, 16, 64}) {  // 16, 64 oversubscribe
     std::vector<std::atomic<int>> visits(1000);
     for (auto& v : visits) v.store(0);
     parallel_for(1000, p, [&](std::size_t i) {
@@ -91,6 +138,68 @@ TEST(ParallelForChunks, BoundsMatchChunkRangeFunction) {
   parallel_for_chunks(kN, static_cast<int>(kP), [&](std::size_t c, ChunkRange r) {
     EXPECT_EQ(r, chunk_range(kN, kP, c));
   });
+}
+
+TEST(ParallelForChunks, ChunkZeroOnCallerOthersOnDistinctThreads) {
+  for (int p : {2, 4, 16}) {  // 16 oversubscribes a 4-core host
+    const std::vector<std::uint64_t> serials = chunk_threads(p);
+    EXPECT_EQ(serials[0], thread_serial()) << "p=" << p;
+    EXPECT_EQ(std::set<std::uint64_t>(serials.begin(), serials.end()).size(),
+              serials.size())
+        << "p=" << p;
+  }
+}
+
+TEST(ParallelForChunks, TeamPersistsAcrossCalls) {
+  // A runtime that spawned threads per call would hand out new serials.
+  for (int p : {4, 16}) {
+    const std::vector<std::uint64_t> first = chunk_threads(p);
+    EXPECT_EQ(chunk_threads(p), first) << "p=" << p;
+  }
+}
+
+TEST(ParallelForChunks, NestedCallRunsInlineInChunkOrder) {
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 300;
+  std::vector<std::atomic<int>> visits(kOuter * kInner);
+  for (auto& v : visits) v.store(0);
+  std::atomic<int> misplaced{0};
+  parallel_for_chunks(kOuter, 4, [&](std::size_t outer, ChunkRange) {
+    const std::uint64_t self = thread_serial();
+    std::size_t expected_chunk = 0;
+    parallel_for_chunks(kInner, 4, [&](std::size_t c, ChunkRange r) {
+      if (thread_serial() != self || c != expected_chunk++)
+        misplaced.fetch_add(1);
+      for (std::size_t i = r.begin; i < r.end; ++i)
+        visits[outer * kInner + i].fetch_add(1, std::memory_order_relaxed);
+    });
+    if (expected_chunk != 4) misplaced.fetch_add(1);
+  });
+  for (std::size_t i = 0; i < visits.size(); ++i)
+    ASSERT_EQ(visits[i].load(), 1) << "i=" << i;
+  EXPECT_EQ(misplaced.load(), 0);
+}
+
+TEST(ParallelForChunks, ConcurrentCallersEachSeeEveryChunkOnce) {
+  // Every caller thread forks its own team; teams grow as p varies.
+  constexpr int kCallers = 8;
+  std::atomic<int> bad_rounds{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t)
+    callers.emplace_back([&bad_rounds, t] {
+      for (int round = 0; round < 50; ++round) {
+        const int p = 2 + (t + round) % 4;
+        std::vector<std::atomic<int>> seen(static_cast<std::size_t>(p));
+        for (auto& s : seen) s.store(0);
+        parallel_for_chunks(1000, p, [&](std::size_t c, ChunkRange) {
+          seen[c].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (auto& s : seen)
+          if (s.load() != 1) bad_rounds.fetch_add(1);
+      }
+    });
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad_rounds.load(), 0);
 }
 
 }  // namespace

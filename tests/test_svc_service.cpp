@@ -123,6 +123,10 @@ void check_correctness(ServiceConfig config) {
         EXPECT_EQ(r.exists, arrivals[q.v] != tcsr::kNeverReached) << i;
         break;
       }
+      case QueryKind::kAddEdges:
+      case QueryKind::kRemoveEdges:
+        ADD_FAILURE() << "no mutation was submitted, i=" << i;
+        break;
     }
   }
 
@@ -335,6 +339,40 @@ TEST(QueryService, ConcurrentClientsStress) {
   for (auto& t : clients) t.join();
   service.stop();
   EXPECT_EQ(answered.load(), kClients * kPerClient);
+}
+
+// Each shard owns a worker thread (and, with kernel_threads > 1, its own
+// fork-join team), so shard loops run side by side: the first callback to
+// arrive blocks its shard until a second callback arrives, which only the
+// other shard can deliver. stop() then drains both queues.
+TEST(QueryService, ShardLoopsRunConcurrentlyAndDrainAtStop) {
+  const Fixture& f = fixture();
+  ServiceConfig config;
+  config.shards = 2;
+  config.kernel_threads = 2;
+  constexpr int kRequests = 400;
+  std::atomic<int> answered{0};
+  std::atomic<int> ok{0};
+  std::atomic<bool> serialized{false};
+  // Declared after the counters, so its destructor drains before they go.
+  QueryService service(f.csr, nullptr, config);
+  for (int i = 0; i < kRequests; ++i) {
+    const auto u = static_cast<VertexId>(i % f.csr.num_nodes());
+    ASSERT_TRUE(service.submit(make(QueryKind::kDegree, u),
+                               [&](Response&& r) {
+      if (r.status == Status::kOk) ok.fetch_add(1);
+      if (answered.fetch_add(1) != 0) return;
+      const auto give_up = Clock::now() + 10s;
+      while (answered.load() < 2 && Clock::now() < give_up)
+        std::this_thread::yield();
+      if (answered.load() < 2) serialized.store(true);
+    }));
+  }
+  service.stop();
+  EXPECT_FALSE(serialized.load());
+  EXPECT_EQ(answered.load(), kRequests);
+  EXPECT_EQ(ok.load(), kRequests);
+  EXPECT_EQ(service.metrics().completed, static_cast<std::uint64_t>(kRequests));
 }
 
 // TSan target: stop() must be idempotent and safe to race — the TCP
