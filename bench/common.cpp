@@ -149,8 +149,9 @@ double scaling_model(const csr::CsrBuildTimings& t1, int p) {
   // Parallelisable fraction of each phase, from the algorithm structure:
   //   degree: chunk-local run counting, O(p) sequential spill merge;
   //   scan:   phases 1 and 3 parallel, phase 2 a sequential O(p) carry;
-  //   fill:   embarrassingly parallel copy;
-  //   pack:   chunk-local packing + O(p) sequential boundary words.
+  //   fill:   embarrassingly parallel copy (0 for the bit-packed build,
+  //           whose pack phase packs jA straight from the edge list);
+  //   pack:   64-element-block packing into disjoint words, no merge.
   struct Phase {
     double time;
     double parallel_fraction;

@@ -15,8 +15,9 @@ Enforces the concurrency conventions that generic tooling cannot see
   lock-free         functions marked `// pcq:lock-free` take no lock at
                     all, util::MutexLock included.
   seqlock-reader    functions marked `// pcq:seqlock-reader` re-check the
-                    sequence word (>= 2 seq loads) and carry at least one
-                    acquire (load or fence).
+                    sequence word (>= 2 seq reads: load, or fetch_add(0) /
+                    fetch_or(0)) and carry at least one acquire (load,
+                    acq_rel RMW or fence).
   epoch-published   a member marked `// pcq:epoch-published` is only
                     mutated through std::atomic_store_explicit /
                     atomic_exchange* — never plain `=`, .reset(), .swap().
@@ -341,10 +342,15 @@ def check_seqlock_reader(
     src: Source, body: str, marker: re.Match, findings: list[Finding]
 ) -> None:
     line = src.line_of(marker.start())
+    # A read of the sequence word is a load or a read-don't-modify-write
+    # (fetch_add(0) / fetch_or(0)), the form TSan models without fences.
     seq_loads = len(
-        re.findall(r"\bseq\w*\s*\.\s*load\s*\(|\.\s*seq\s*\.\s*load\s*\(", body)
+        re.findall(
+            r"\bseq\w*\s*\.\s*(?:load\s*\(|fetch_(?:add|or)\s*\(\s*0\s*,)",
+            body,
+        )
     )
-    acquires = len(re.findall(r"memory_order_acquire", body))
+    acquires = len(re.findall(r"memory_order_acq(?:uire|_rel)", body))
     if seq_loads < 2 and not src.suppressed(line, "seqlock-reader"):
         findings.append(
             Finding(

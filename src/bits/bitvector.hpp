@@ -118,9 +118,9 @@ class BitVector {
   /// Reads `width` (<= 64) bits starting at bit offset `pos`, LSB-first.
   [[nodiscard]] std::uint64_t read_bits(std::size_t pos, unsigned width) const;
 
-  /// Appends all of `other`'s bits to this vector. Used by the Algorithm 4
-  /// merge step, where per-chunk bit arrays are concatenated into the final
-  /// global array.
+  /// Appends all of `other`'s bits to this vector (concatenating per-chunk
+  /// bit streams of variable-width codes, as the WebGraph and k2-tree
+  /// builders do).
   void append(const BitVector& other);
 
   /// Number of set bits.
@@ -129,7 +129,8 @@ class BitVector {
   [[nodiscard]] std::span<const std::uint64_t> words() const {
     return {data_, num_words_};
   }
-  /// Mutable word access for parallel merges (word-aligned OR writes).
+  /// Mutable word access for the parallel packer (each processor stores
+  /// whole words of its own window).
   /// Refused on borrowed views — mapped bytes are read-only.
   [[nodiscard]] std::span<std::uint64_t> mutable_words() {
     PCQ_CHECK_MSG(owns_, "cannot mutate a borrowed BitVector view");

@@ -1,134 +1,17 @@
 #include "bits/packed_array.hpp"
 
-#include <algorithm>
-
-#include "obs/trace.hpp"
-#include "par/chunking.hpp"
-#include "par/parallel_for.hpp"
-#include "par/reduce.hpp"
-#include "par/threads.hpp"
-
 namespace pcq::bits {
 
 FixedWidthArray FixedWidthArray::pack(std::span<const std::uint64_t> values,
                                       int num_threads) {
-  std::uint64_t max_value = 0;
-  if (!values.empty()) {
-    max_value = pcq::par::parallel_reduce<std::uint64_t>(
-        values, 0, num_threads,
-        [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
-  }
-  return pack_with_width(values, bits_for(max_value), num_threads);
+  return pack(values.size(), num_threads,
+              [values](std::size_t i) { return values[i]; });
 }
 
 FixedWidthArray FixedWidthArray::pack_with_width(
     std::span<const std::uint64_t> values, unsigned width, int num_threads) {
-  PCQ_CHECK(width >= 1 && width <= 64);
-  const std::size_t n = values.size();
-  const auto p = static_cast<std::size_t>(pcq::par::clamp_threads(num_threads));
-  const std::size_t chunks = pcq::par::num_nonempty_chunks(n, p);
-
-  if (chunks <= 1) {
-    BitVector bv;
-    for (std::uint64_t v : values) {
-      PCQ_DCHECK(width == 64 || (v >> width) == 0);
-      bv.append_bits(v, width);
-    }
-    return FixedWidthArray(std::move(bv), n, width);
-  }
-
-  // Algorithm 4: each processor packs its chunk into a private bit array
-  // stored "in a global location"...
-  std::vector<BitVector> partial(chunks);
-  {
-    PCQ_TRACE_SCOPE("pack.chunks", chunks);
-    pcq::par::parallel_for_chunks(
-        n, static_cast<int>(chunks),
-        [&](std::size_t c, pcq::par::ChunkRange r) {
-          BitVector local;
-          for (std::size_t i = r.begin; i < r.end; ++i) {
-            PCQ_DCHECK(width == 64 || (values[i] >> width) == 0);
-            local.append_bits(values[i], width);
-          }
-          partial[c] = std::move(local);
-        });
-  }
-
-  // ...then the per-chunk arrays are merged into the final bit array. With
-  // a fixed element width the destination offset of every chunk is known, so
-  // the merge copies whole words in parallel and ORs the one word each pair
-  // of neighbouring chunks can share. The span covers both the parallel
-  // word copy and the sequential boundary pass (recorded explicitly — the
-  // merge straddles two statements RAII can't bracket cleanly).
-  const bool traced = pcq::obs::kTraceCompiledIn && pcq::obs::trace_enabled();
-  const std::uint64_t merge_t0 = traced ? pcq::obs::trace_now_ns() : 0;
-  BitVector merged(n * width);
-  auto dst = merged.mutable_words();
-  pcq::par::parallel_for_chunks(
-      n, static_cast<int>(chunks), [&](std::size_t c, pcq::par::ChunkRange r) {
-        const BitVector& src = partial[c];
-        const std::size_t bit_off = r.begin * width;
-        const unsigned shift = bit_off & 63;
-        std::size_t w = bit_off >> 6;
-        const auto src_words = src.words();
-        // Destination words on chunk boundaries can be shared between two
-        // neighbouring chunks; OR-ing them from two threads would be a data
-        // race, so each chunk's first word is deferred to a sequential
-        // boundary pass below, and spills that carry no bits are skipped
-        // (an |= 0 is still a racing store).
-        if (shift == 0) {
-          for (std::size_t i = 0; i < src_words.size(); ++i) {
-            if (i == 0 && c > 0) continue;  // deferred boundary word
-            dst[w + i] |= src_words[i];
-          }
-        } else {
-          for (std::size_t i = 0; i < src_words.size(); ++i) {
-            if (i == 0 && c > 0) continue;  // deferred boundary word
-            dst[w + i] |= src_words[i] << shift;
-            const std::uint64_t high = src_words[i] >> (64 - shift);
-            if (high != 0) dst[w + i + 1] |= high;
-          }
-        }
-      });
-
-  // Sequential boundary pass: the first source word of every chunk after
-  // the first may straddle a destination word also written by the left
-  // neighbour. There are only `chunks - 1` such words, so this pass is
-  // negligible — it is the packing analogue of the degree-merge step.
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const auto r = pcq::par::chunk_range(n, chunks, c);
-    const BitVector& src = partial[c];
-    if (src.size() == 0) continue;
-    const std::size_t bit_off = r.begin * width;
-    const unsigned shift = bit_off & 63;
-    const std::size_t w = bit_off >> 6;
-    const std::uint64_t first = src.words()[0];
-    if (shift == 0) {
-      dst[w] |= first;
-    } else {
-      dst[w] |= first << shift;
-      if (w + 1 < dst.size()) dst[w + 1] |= first >> (64 - shift);
-    }
-  }
-  if (traced)
-    pcq::obs::record_span("pack.merge", merge_t0, pcq::obs::trace_now_ns(),
-                          chunks);
-
-  FixedWidthArray out(std::move(merged), n, width);
-  // Contract: the chunked merge's boundary-word arithmetic (shift/spill of
-  // each chunk's first word) is the riskiest part of Algorithm 4 — spot
-  // check that the first and last elements of every chunk boundary decode
-  // back to their inputs. O(chunks), not O(n).
-#if !defined(NDEBUG) || PCQ_DEBUG_CHECKS
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const auto r = pcq::par::chunk_range(n, chunks, c);
-    PCQ_DCHECK_MSG(out.get(r.begin) == values[r.begin],
-                   "pack merge corrupted a chunk's first element");
-    PCQ_DCHECK_MSG(out.get(r.end - 1) == values[r.end - 1],
-                   "pack merge corrupted a chunk's last element");
-  }
-#endif
-  return out;
+  return pack_with_width(values.size(), width, num_threads,
+                         [values](std::size_t i) { return values[i]; });
 }
 
 void FixedWidthArray::get_range(std::size_t begin, std::size_t count,

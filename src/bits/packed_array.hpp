@@ -8,10 +8,14 @@
 // queryable without decompression.
 //
 // `pack` follows Algorithm 4: the input is split into one chunk per
-// processor, each chunk is packed into a private bit array, and the
-// per-chunk arrays are merged into the final global bit array.
+// processor and each processor packs its chunk into a private bit array
+// "in a global location": its own window of the final array. Chunks are
+// cut at multiples of 64 elements, and 64 elements of `width` bits are
+// exactly `width` words, so no two processors share a word and nothing is
+// left to merge.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -19,6 +23,9 @@
 
 #include "bits/bitvector.hpp"
 #include "bits/unpack.hpp"
+#include "obs/trace.hpp"
+#include "par/parallel_for.hpp"
+#include "par/reduce.hpp"
 
 namespace pcq::bits {
 
@@ -41,9 +48,57 @@ class FixedWidthArray {
   static FixedWidthArray pack(std::span<const std::uint64_t> values,
                               int num_threads);
 
+  /// pack over value_of(i) for i in [0, n) (projection form, as below).
+  template <typename ValueFn>
+  static FixedWidthArray pack(std::size_t n, int num_threads,
+                              ValueFn&& value_of) {
+    const std::uint64_t max_value = pcq::par::parallel_map_reduce(
+        n, std::uint64_t{0}, num_threads,
+        [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); },
+        [&](std::size_t i) -> std::uint64_t { return value_of(i); });
+    return pack_with_width(n, bits_for(max_value), num_threads, value_of);
+  }
+
   /// Packs with an explicit width; every value must fit in `width` bits.
   static FixedWidthArray pack_with_width(std::span<const std::uint64_t> values,
                                          unsigned width, int num_threads);
+
+  /// Packs value_of(i) for i in [0, n) with an explicit width: the
+  /// projection form, so callers pack 32-bit columns or edge endpoints
+  /// without first widening them into a u64 copy. Values wider than
+  /// `width` are masked (and refused by debug builds).
+  template <typename ValueFn>
+  static FixedWidthArray pack_with_width(std::size_t n, unsigned width,
+                                         int num_threads, ValueFn&& value_of) {
+    BitVector storage(checked_packed_bits(n, width));
+    const auto words = storage.mutable_words();
+    const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    // Block b of 64 elements owns words [b * width, (b + 1) * width); each
+    // chunk of whole blocks streams its values into its own words.
+    const std::size_t blocks = (n + 63) / 64;
+    PCQ_TRACE_SCOPE("pack.blocks", blocks);
+    pcq::par::parallel_for_chunks(
+        blocks, num_threads, [&](std::size_t, pcq::par::ChunkRange r) {
+          std::uint64_t* out = words.data() + r.begin * width;
+          std::uint64_t acc = 0;
+          unsigned fill = 0;  // bits of acc already holding values
+          const std::size_t end = std::min(r.end * 64, n);
+          for (std::size_t i = r.begin * 64; i < end; ++i) {
+            const auto value = static_cast<std::uint64_t>(value_of(i));
+            PCQ_DCHECK(width == 64 || (value >> width) == 0);
+            const std::uint64_t v = value & mask;
+            acc |= v << fill;
+            fill += width;
+            if (fill >= 64) {
+              *out++ = acc;
+              fill -= 64;
+              acc = fill == 0 ? 0 : v >> (width - fill);
+            }
+          }
+          if (fill != 0) *out = acc;  // only the last block ends mid-word
+        });
+    return FixedWidthArray(std::move(storage), n, width);
+  }
 
   /// Adopts already-packed storage (deserialization); storage must hold at
   /// least size * width bits (computed overflow-checked — a header-supplied

@@ -7,27 +7,19 @@ namespace pcq::csr {
 using graph::VertexId;
 
 BitPackedCsr BitPackedCsr::from_csr(const CsrGraph& csr, int num_threads) {
-  BitPackedCsr packed;
-  packed.num_nodes_ = csr.num_nodes();
-  packed.num_edges_ = csr.num_edges();
-
-  // Algorithm 4, first pass: the degree array iA.
+  // Algorithm 4, once for the degree array iA and once for the column
+  // array jA (packed straight from its 32-bit entries).
   const auto offs = csr.offsets();
   PCQ_DCHECK_MSG(offs.back() == csr.num_edges(),
                  "CSR final offset != edge count before packing");
-  packed.offsets_ = pcq::bits::FixedWidthArray::pack_with_width(
-      offs, pcq::bits::bits_for(csr.num_edges()), num_threads);
-
-  // Second pass: the column array jA. Widened to u64 for the packer; the
-  // copy is parallel and transient.
-  std::vector<std::uint64_t> cols(csr.num_edges());
-  const auto src = csr.columns();
-  pcq::par::parallel_for(cols.size(), num_threads,
-                         [&](std::size_t i) { cols[i] = src[i]; });
-  const std::uint64_t max_col = csr.num_nodes() == 0 ? 0 : csr.num_nodes() - 1;
-  packed.columns_ = pcq::bits::FixedWidthArray::pack_with_width(
-      cols, pcq::bits::bits_for(max_col), num_threads);
-  return packed;
+  const auto cols = csr.columns();
+  return from_parts(
+      csr.num_nodes(), csr.num_edges(),
+      pcq::bits::FixedWidthArray::pack_with_width(
+          offs, pcq::bits::bits_for(csr.num_edges()), num_threads),
+      pcq::bits::FixedWidthArray::pack_with_width(
+          cols.size(), column_bits_for(csr.num_nodes()), num_threads,
+          [cols](std::size_t i) { return cols[i]; }));
 }
 
 std::vector<VertexId> BitPackedCsr::neighbors(VertexId u) const {

@@ -24,12 +24,18 @@
 
 namespace pcq::csr {
 
+/// Width of a jA entry for `num_nodes` vertices: bits_for(num_nodes - 1).
+inline unsigned column_bits_for(graph::VertexId num_nodes) {
+  return pcq::bits::bits_for(num_nodes == 0 ? 0 : num_nodes - 1);
+}
+
 class BitPackedCsr {
  public:
   BitPackedCsr() = default;
 
-  /// Packs a plain CSR (Algorithm 4: per-chunk packing + merge, applied
-  /// once to iA and once to jA).
+  /// Packs a plain CSR (Algorithm 4, applied once to iA and once to jA:
+  /// each processor writes whole words of its own 64-element-aligned
+  /// window of the final bit array, so there is no merge step).
   static BitPackedCsr from_csr(const CsrGraph& csr, int num_threads);
 
   /// Reassembles a structure from already-packed arrays (deserialization).

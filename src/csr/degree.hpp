@@ -20,23 +20,101 @@
 // several spill slots to the same node.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "obs/trace.hpp"
+#include "par/chunking.hpp"
+#include "par/parallel_for.hpp"
+#include "par/threads.hpp"
+#include "util/check.hpp"
 
 namespace pcq::csr {
 
-/// Computes the degree of each node from a sorted source-id array
-/// (Algorithms 2 + 3). `sources[i]` is the source endpoint of edge i;
-/// `num_nodes` sizes the result. Aborts in debug builds if the input is
-/// not sorted.
-std::vector<std::uint32_t> parallel_degree_from_sorted(
-    std::span<const graph::VertexId> sources, graph::VertexId num_nodes,
-    int num_threads);
+/// Computes the degree of each node from `n` sorted source ids, where
+/// source_of(i) is the source endpoint of edge i (Algorithms 2 + 3). The
+/// projection lets the builder count runs straight off its edge records.
+/// `num_nodes` sizes the result.
+template <typename SourceFn>
+std::vector<std::uint32_t> parallel_degree_by(std::size_t n,
+                                              SourceFn&& source_of,
+                                              graph::VertexId num_nodes,
+                                              int num_threads) {
+  using graph::VertexId;
+  PCQ_DCHECK(std::ranges::is_sorted(std::views::iota(std::size_t{0}, n), {},
+                                    source_of));
+  const auto p = static_cast<std::size_t>(pcq::par::clamp_threads(num_threads));
+  const std::size_t chunks = pcq::par::num_nonempty_chunks(n, p);
 
-/// Sequential run-counting baseline (the p == 1 configuration of Table II).
+  std::vector<std::uint32_t> degrees(num_nodes, 0);
+  // globalTempDegree: one spill slot per processor for its first run.
+  std::vector<std::uint32_t> temp(chunks, 0);
+
+  // Algorithm 2, one invocation per chunk. The join at the end of
+  // parallel_for_chunks is Algorithm 3's sync().
+  {
+    PCQ_TRACE_SCOPE("degree.count", chunks);
+    pcq::par::parallel_for_chunks(
+        n, static_cast<int>(chunks),
+        [&](std::size_t c, pcq::par::ChunkRange r) {
+          std::size_t i = r.begin;
+          // First run -> spill slot: it may continue the left neighbour's
+          // final run (lines 2-4 of Algorithm 2).
+          const VertexId first = source_of(i);
+          std::uint32_t run = 0;
+          while (i < r.end && source_of(i) == first) {
+            ++run;
+            ++i;
+          }
+          temp[c] = run;
+          // Remaining runs start inside this chunk, so this chunk is the
+          // unique direct writer for their nodes (lines 5-7).
+          while (i < r.end) {
+            const VertexId node = source_of(i);
+            PCQ_DCHECK(node < num_nodes);
+            run = 0;
+            while (i < r.end && source_of(i) == node) {
+              ++run;
+              ++i;
+            }
+            degrees[node] = run;
+          }
+        });
+  }
+
+  // Algorithm 3 merge (Figure 3): fold each chunk's spill slot into the
+  // degree of the node at the chunk's front. Sequential — O(p) work — which
+  // also makes runs spanning multiple whole chunks (several spill slots,
+  // one node) correct without atomics.
+  {
+    PCQ_TRACE_SCOPE("degree.merge", chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const VertexId front = source_of(pcq::par::chunk_range(n, chunks, c).begin);
+      // The direct-write loop bounds-checks every run head, but a chunk
+      // whose *first* node is out of range only ever reaches this merge.
+      PCQ_DCHECK_MSG(front < num_nodes,
+                     "source id outside declared vertex range");
+      degrees[front] += temp[c];
+    }
+  }
+  return degrees;
+}
+
+/// parallel_degree_by over a source-id array: `sources[i]` is the source
+/// endpoint of edge i. Aborts in debug builds if the input is not sorted.
+inline std::vector<std::uint32_t> parallel_degree_from_sorted(
+    std::span<const graph::VertexId> sources, graph::VertexId num_nodes,
+    int num_threads) {
+  return parallel_degree_by(
+      sources.size(), [sources](std::size_t i) { return sources[i]; },
+      num_nodes, num_threads);
+}
+
+/// Sequential run-counting baseline (the S5 ablation's reference).
 std::vector<std::uint32_t> sequential_degree_from_sorted(
     std::span<const graph::VertexId> sources, graph::VertexId num_nodes);
 

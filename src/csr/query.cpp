@@ -1,5 +1,6 @@
 #include "csr/query.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "par/chunking.hpp"
@@ -152,12 +153,16 @@ bool edge_exists_intra_row(const BitPackedCsr& csr, VertexId u, VertexId v,
   // Algorithm 9, third block: retrieve u's neighbourhood bounds, split the
   // row into p parts, and let every processor search its chunk. The packed
   // row is streamed through the word-wise cursor — no materialisation.
+  // A row shorter than two grains is searched serially, with no fork.
+  const auto p = std::min(
+      static_cast<std::size_t>(pcq::par::clamp_threads(num_threads)),
+      std::max<std::size_t>(1, deg / kIntraRowMinGrain));
   std::atomic<bool> found{false};
   // Re-checked every kPollStride elements so a hit in one chunk stops the
   // others mid-scan instead of only gating chunk entry.
   constexpr std::size_t kPollStride = 1024;
   pcq::par::parallel_for_chunks(
-      deg, num_threads, [&](std::size_t, pcq::par::ChunkRange r) {
+      deg, static_cast<int>(p), [&](std::size_t, pcq::par::ChunkRange r) {
         if (found.load(std::memory_order_relaxed)) return;  // early exit
         if (search == RowSearch::kLinear) {
           pcq::bits::RowCursor cursor =

@@ -87,9 +87,14 @@ void batch_edge_existence_into(const BitPackedCsr& csr,
                                std::span<std::uint8_t> out, int num_threads,
                                RowSearch search = RowSearch::kLinear);
 
+/// Fewest row elements edge_exists_intra_row gives one processor: a fork
+/// costs microseconds, about what decoding this many packed values costs.
+inline constexpr std::size_t kIntraRowMinGrain = std::size_t{1} << 15;
+
 /// Algorithm 8: single edge query answered by splitting u's row across
-/// `num_threads` processors. "One of the processors will return true if
-/// the edge exists, if not all return false."
+/// `num_threads` processors, at most one per kIntraRowMinGrain elements.
+/// "One of the processors will return true if the edge exists, if not all
+/// return false."
 bool edge_exists_intra_row(const BitPackedCsr& csr, graph::VertexId u,
                            graph::VertexId v, int num_threads,
                            RowSearch search = RowSearch::kLinear);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "csr/bitpacked_csr.hpp"
 #include "csr/degree.hpp"
 #include "par/parallel_for.hpp"
 #include "par/prefix_sum.hpp"
@@ -22,13 +23,12 @@ WeightedCsr WeightedCsr::build_from_sorted(std::span<const WeightedEdge> edges,
     num_nodes = edges.empty() ? 0 : max_id + 1;
   }
 
-  // Same pipeline as the unweighted builder: degree (Alg. 2/3), offsets
-  // (Alg. 1), then parallel copies of the jA *and* vA columns.
-  std::vector<VertexId> sources(edges.size());
-  pcq::par::parallel_for(edges.size(), num_threads,
-                         [&](std::size_t i) { sources[i] = edges[i].u; });
-  const auto degrees =
-      parallel_degree_from_sorted(sources, num_nodes, num_threads);
+  // Same pipeline as the unweighted builder: degree (Alg. 2/3) over the
+  // sources, offsets (Alg. 1), then parallel copies of the jA *and* vA
+  // columns.
+  const auto degrees = parallel_degree_by(
+      edges.size(), [edges](std::size_t i) { return edges[i].u; }, num_nodes,
+      num_threads);
   auto offsets = pcq::par::offsets_from_degrees(degrees, num_threads);
 
   std::vector<VertexId> columns(edges.size());
@@ -70,18 +70,14 @@ BitPackedWeightedCsr BitPackedWeightedCsr::from_weighted_csr(
   out.offsets_ = pcq::bits::FixedWidthArray::pack_with_width(
       offs, pcq::bits::bits_for(csr.num_edges()), num_threads);
 
-  std::vector<std::uint64_t> wide(csr.num_edges());
   const auto cols = csr.structure().columns();
-  pcq::par::parallel_for(wide.size(), num_threads,
-                         [&](std::size_t i) { wide[i] = cols[i]; });
-  const std::uint64_t max_col = csr.num_nodes() == 0 ? 0 : csr.num_nodes() - 1;
   out.columns_ = pcq::bits::FixedWidthArray::pack_with_width(
-      wide, pcq::bits::bits_for(max_col), num_threads);
+      cols.size(), column_bits_for(csr.num_nodes()), num_threads,
+      [cols](std::size_t i) { return cols[i]; });
 
   const auto ws = csr.weight_array();
-  pcq::par::parallel_for(wide.size(), num_threads,
-                         [&](std::size_t i) { wide[i] = ws[i]; });
-  out.weights_ = pcq::bits::FixedWidthArray::pack(wide, num_threads);
+  out.weights_ = pcq::bits::FixedWidthArray::pack(
+      ws.size(), num_threads, [ws](std::size_t i) { return ws[i]; });
   return out;
 }
 

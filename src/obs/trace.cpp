@@ -67,11 +67,9 @@ void TraceRing::record(const char* name, std::uint64_t start_ns,
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[h & (kCapacity - 1)];
   // Seqlock write: odd seq marks the slot unreadable while the fields
-  // change; the release fence orders the odd mark before the field stores,
-  // the release store orders the field stores before the even mark.
-  const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  // change. The acquire RMW keeps the field stores after the odd mark; the
+  // release store keeps them before the even mark.
+  const std::uint64_t seq = slot.seq.fetch_add(1, std::memory_order_acquire);
   slot.name.store(name, std::memory_order_relaxed);
   slot.start_ns.store(start_ns, std::memory_order_relaxed);
   slot.end_ns.store(end_ns, std::memory_order_relaxed);
@@ -95,8 +93,10 @@ void TraceRing::drain(std::vector<CollectedSpan>& out) const {
     span.end_ns = slot.end_ns.load(std::memory_order_relaxed);
     span.arg = slot.arg.load(std::memory_order_relaxed);
     span.tid = tid_;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
+    // Re-check with a read-don't-modify-write: its release half keeps the
+    // field loads before it, and as an RMW it reads the latest seq, so a
+    // writer that started after s1 shows up as s2 != s1.
+    const std::uint64_t s2 = slot.seq.fetch_add(0, std::memory_order_acq_rel);
     if (s1 != s2 || span.name == nullptr) continue;  // torn, skip
     out.push_back(span);
   }

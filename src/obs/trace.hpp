@@ -106,7 +106,9 @@ class TraceRing {
 
  private:
   struct Slot {
-    std::atomic<std::uint64_t> seq{0};  ///< odd while being written
+    /// Odd while being written. Mutable: the const drain() re-reads it
+    /// with fetch_add(0), which stores nothing new.
+    mutable std::atomic<std::uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};
     std::atomic<std::uint64_t> start_ns{0};
     std::atomic<std::uint64_t> end_ns{0};

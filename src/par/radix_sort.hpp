@@ -2,9 +2,12 @@
 //
 // The CSR pipeline's unsorted path is dominated by sorting the edge list;
 // comparison sorting costs O(n log n) while an 8-bit-digit radix sort does
-// a fixed 8 passes of counting + scatter, each parallelised with the same
+// at most 8 passes of counting + scatter, each parallelised with the same
 // chunk/prefix-sum machinery as the rest of the library (per-chunk
 // histograms, exclusive offsets via scan, chunk-private scatter windows).
+// Only live digits move data: digits above the maximum key are skipped, and
+// a digit that is the same in every key (byte 3 of an edge key
+// (u << 32) | v while ids stay below 2^24) is counted but not scattered.
 // Keys are extracted by a caller-provided projection so graph::Edge sorts
 // by the packed (u, v) pair without materialising keys twice.
 //
@@ -13,21 +16,28 @@
 // previous by-destination pass if callers compose passes manually.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "par/chunking.hpp"
 #include "par/parallel_for.hpp"
+#include "par/reduce.hpp"
 #include "par/threads.hpp"
 
 namespace pcq::par {
 
 /// Sorts `v` by `key(v[i])` ascending, where Key returns std::uint64_t.
-/// Uses 8-bit digits; passes over digits above the maximum key are
-/// skipped, so 32-bit keys cost 4 passes, not 8.
+/// Uses 8-bit digits, so 32-bit keys cost at most 4 passes, not 8.
 template <typename T, typename KeyFn>
 void parallel_radix_sort(std::span<T> v, int num_threads, KeyFn&& key) {
+  // The ping-pong buffer is raw storage that the first scatter writes
+  // element by element, so T must be copyable and destructible as bytes.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
   const std::size_t n = v.size();
   if (n < 2) return;
   const auto p = static_cast<std::size_t>(clamp_threads(num_threads));
@@ -35,26 +45,19 @@ void parallel_radix_sort(std::span<T> v, int num_threads, KeyFn&& key) {
   constexpr unsigned kDigitBits = 8;
   constexpr std::size_t kBuckets = 1u << kDigitBits;
 
-  // Find the highest non-zero digit position to skip dead passes.
-  std::uint64_t max_key = 0;
-  {
-    std::vector<std::uint64_t> partial(chunks, 0);
-    parallel_for_chunks(n, static_cast<int>(chunks),
-                        [&](std::size_t c, ChunkRange r) {
-                          std::uint64_t m = 0;
-                          for (std::size_t i = r.begin; i < r.end; ++i) {
-                            const std::uint64_t k = key(v[i]);
-                            if (k > m) m = k;
-                          }
-                          partial[c] = m;
-                        });
-    for (std::uint64_t m : partial)
-      if (m > max_key) max_key = m;
-  }
+  const std::uint64_t max_key = parallel_map_reduce(
+      n, std::uint64_t{0}, static_cast<int>(chunks),
+      [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); },
+      [&](std::size_t i) -> std::uint64_t { return key(v[i]); });
 
-  std::vector<T> buffer(n);
+  // Uninitialised, so each page is first touched by the parallel scatter
+  // that fills it, not zeroed by this thread.
+  std::allocator<T> alloc;
+  auto release = [&alloc, n](T* ptr) { alloc.deallocate(ptr, n); };
+  const std::unique_ptr<T, decltype(release)> buffer(alloc.allocate(n),
+                                                     release);
   std::span<T> src = v;
-  std::span<T> dst = buffer;
+  std::span<T> dst(buffer.get(), n);
 
   // counts[c][b]: occurrences of digit b in chunk c.
   std::vector<std::vector<std::uint64_t>> counts(
@@ -74,15 +77,20 @@ void parallel_radix_sort(std::span<T> v, int num_threads, KeyFn&& key) {
 
     // Pass 2: exclusive offsets in (bucket-major, chunk-minor) order — the
     // scatter window of chunk c for digit b. Sequential O(chunks * 256),
-    // negligible next to the O(n) passes.
+    // negligible next to the O(n) passes. A bucket holding all n keys
+    // means this digit is constant: the scatter would copy src unchanged.
     std::uint64_t running = 0;
+    bool constant_digit = false;
     for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint64_t bucket_begin = running;
       for (std::size_t c = 0; c < chunks; ++c) {
         const std::uint64_t count = counts[c][b];
         counts[c][b] = running;
         running += count;
       }
+      if (running - bucket_begin == n) constant_digit = true;
     }
+    if (constant_digit) continue;
 
     // Pass 3: stable scatter; each chunk owns disjoint windows.
     parallel_for_chunks(n, static_cast<int>(chunks),

@@ -18,10 +18,12 @@
 
 namespace pcq::par {
 
-/// Parallel fold of `v` with associative `op`; `init` must be the identity.
-template <typename T, typename Op = std::plus<T>>
-T parallel_reduce(std::span<const T> v, T init, int num_threads, Op op = {}) {
-  const std::size_t n = v.size();
+/// Parallel fold of value_of(i) for i in [0, n) with associative `op`;
+/// `init` must be the identity. The projection lets callers reduce a field
+/// of their records (an edge endpoint, a sort key) without a copy.
+template <typename T, typename Op, typename ValueFn>
+T parallel_map_reduce(std::size_t n, T init, int num_threads, Op op,
+                      ValueFn&& value_of) {
   const auto p = static_cast<std::size_t>(clamp_threads(num_threads));
   const std::size_t chunks = num_nonempty_chunks(n, p);
   if (chunks == 0) return init;
@@ -30,12 +32,19 @@ T parallel_reduce(std::span<const T> v, T init, int num_threads, Op op = {}) {
                       [&](std::size_t c, ChunkRange r) {
                         T acc = init;
                         for (std::size_t i = r.begin; i < r.end; ++i)
-                          acc = op(acc, v[i]);
+                          acc = op(acc, value_of(i));
                         partial[c] = acc;
                       });
   T acc = init;
   for (const T& x : partial) acc = op(acc, x);
   return acc;
+}
+
+/// Parallel fold of `v` with associative `op`; `init` must be the identity.
+template <typename T, typename Op = std::plus<T>>
+T parallel_reduce(std::span<const T> v, T init, int num_threads, Op op = {}) {
+  return parallel_map_reduce(v.size(), init, num_threads, op,
+                             [v](std::size_t i) { return v[i]; });
 }
 
 /// Histogram via std::atomic fetch-add on each bucket. Simple, but all

@@ -58,15 +58,12 @@ EveLog EveLog::build(const TemporalEdgeList& events, VertexId num_nodes,
     const auto& bucket = buckets[u];
     if (bucket.empty()) return;
     std::vector<std::uint64_t> times(bucket.size());
-    std::vector<std::uint64_t> nbrs(bucket.size());
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      times[i] = bucket[i].first;
-      nbrs[i] = bucket[i].second;
-    }
+    for (std::size_t i = 0; i < bucket.size(); ++i) times[i] = bucket[i].first;
     log.logs_[u].times = pcq::bits::GapEncodedSequence::encode(
         times, pcq::bits::GapCodec::kDelta);
     log.logs_[u].neighbors = pcq::bits::FixedWidthArray::pack_with_width(
-        nbrs, pcq::bits::bits_for(num_nodes == 0 ? 0 : num_nodes - 1), 1);
+        bucket.size(), csr::column_bits_for(num_nodes), 1,
+        [&bucket](std::size_t i) { return bucket[i].second; });
   });
   return log;
 }

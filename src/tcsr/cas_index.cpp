@@ -37,13 +37,11 @@ CasIndex CasIndex::build(const graph::TemporalEdgeList& events,
   index.offsets_ = pcq::par::offsets_from_degrees(counts, num_threads);
 
   // Column arrays.
-  std::vector<std::uint64_t> times(evs.size());
   std::vector<std::uint32_t> targets(evs.size());
-  pcq::par::parallel_for(evs.size(), num_threads, [&](std::size_t i) {
-    times[i] = evs[i].t;
-    targets[i] = evs[i].v;
-  });
-  index.times_ = pcq::bits::FixedWidthArray::pack(times, num_threads);
+  pcq::par::parallel_for(evs.size(), num_threads,
+                         [&](std::size_t i) { targets[i] = evs[i].v; });
+  index.times_ = pcq::bits::FixedWidthArray::pack(
+      evs.size(), num_threads, [&](std::size_t i) { return evs[i].t; });
   index.targets_ = pcq::bits::WaveletTree::build(targets, num_nodes);
   return index;
 }

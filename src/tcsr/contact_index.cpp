@@ -67,17 +67,14 @@ ContactIndex ContactIndex::build(const graph::TemporalEdgeList& events,
   for (const Contact& c : contacts) ++counts[c.u];
   index.offsets_ = pcq::par::offsets_from_degrees(counts, num_threads);
 
-  std::vector<std::uint64_t> targets(contacts.size());
-  std::vector<std::uint64_t> begins(contacts.size());
-  std::vector<std::uint64_t> ends(contacts.size());
-  pcq::par::parallel_for(contacts.size(), num_threads, [&](std::size_t k) {
-    targets[k] = contacts[k].v;
-    begins[k] = contacts[k].begin;
-    ends[k] = contacts[k].end;
-  });
-  index.targets_ = pcq::bits::FixedWidthArray::pack(targets, num_threads);
-  index.begins_ = pcq::bits::FixedWidthArray::pack(begins, num_threads);
-  index.ends_ = pcq::bits::FixedWidthArray::pack(ends, num_threads);
+  const auto pack_field = [&](auto Contact::*field) {
+    return pcq::bits::FixedWidthArray::pack(
+        contacts.size(), num_threads,
+        [&](std::size_t k) { return contacts[k].*field; });
+  };
+  index.targets_ = pack_field(&Contact::v);
+  index.begins_ = pack_field(&Contact::begin);
+  index.ends_ = pack_field(&Contact::end);
   return index;
 }
 

@@ -23,6 +23,16 @@ printf "# comment line\n0 1\n1 2\n2 0\n0 2\n" > "$TMP/g.txt"
 "$PCQ" compress "$TMP/g.bin" --out "$TMP/g2.csr" > /dev/null
 cmp "$TMP/g.csr" "$TMP/g2.csr"
 
+# Thread invariance: the packed build is bit-identical at every thread
+# count. 20k deterministic edges (a skewed source, a spread destination) so
+# every thread count splits the sort, degree count and packing.
+awk 'BEGIN { for (i = 0; i < 20000; i++) print (i * i) % 1543, (i * 7919) % 20011 }' \
+    > "$TMP/big.txt"
+for t in 1 3 4 16; do
+    "$PCQ" compress "$TMP/big.txt" --out "$TMP/big$t.csr" --threads $t > /dev/null
+done
+for t in 3 4 16; do cmp "$TMP/big1.csr" "$TMP/big$t.csr"; done
+
 # Relabeled compression still answers (ids are renumbered, so only check
 # that it runs and reports the same counts).
 "$PCQ" compress "$TMP/g.txt" --out "$TMP/g3.csr" --relabel | grep -q "compressed 3 nodes / 4 edges"

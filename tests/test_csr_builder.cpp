@@ -134,5 +134,67 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values<std::size_t>(1, 2, 100, 1000, 50'000),
                      testing::Values(1, 2, 4, 8, 16, 64)));
 
+// --- packed build straight from the edge list ------------------------------
+//
+// build_bitpacked_csr_from_sorted packs iA and jA without a plain CSR in
+// between; its storage words must equal packing the sequential reference
+// build, at every processor count.
+
+void expect_storage_equal(const bits::FixedWidthArray& got,
+                          const bits::FixedWidthArray& want, int p) {
+  ASSERT_EQ(got.size(), want.size()) << "p=" << p;
+  ASSERT_EQ(got.width(), want.width()) << "p=" << p;
+  const auto g = got.bits().words();
+  const auto w = want.bits().words();
+  EXPECT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()))
+      << "p=" << p;
+}
+
+void expect_packed_build_matches_reference(const EdgeList& list,
+                                           VertexId num_nodes) {
+  const BitPackedCsr ref =
+      BitPackedCsr::from_csr(build_csr_sequential(list, num_nodes), 1);
+  for (int p : {1, 2, 3, 4, 16}) {
+    const BitPackedCsr got = build_bitpacked_csr_from_sorted(list, num_nodes, p);
+    ASSERT_EQ(got.num_nodes(), ref.num_nodes()) << "p=" << p;
+    ASSERT_EQ(got.num_edges(), ref.num_edges()) << "p=" << p;
+    expect_storage_equal(got.packed_offsets(), ref.packed_offsets(), p);
+    expect_storage_equal(got.packed_columns(), ref.packed_columns(), p);
+  }
+}
+
+TEST(PackedBuild, StorageEqualsPackedSequentialReference) {
+  EdgeList g = graph::rmat(1 << 12, 40'000, 0.57, 0.19, 0.19, 11, 4);
+  g.sort(4);
+  expect_packed_build_matches_reference(g, 0);
+  expect_packed_build_matches_reference(g, 1 << 12);
+}
+
+TEST(PackedBuild, EmptyList) {
+  expect_packed_build_matches_reference(EdgeList{}, 0);
+  expect_packed_build_matches_reference(EdgeList{}, 7);
+}
+
+TEST(PackedBuild, DeclaredNodeCountAboveLargestId) {
+  // 300 declared nodes, ids below 40: trailing empty rows, and jA is as
+  // wide as the declared range (9 bits), not the used one (6 bits).
+  EdgeList g = graph::rmat(40, 2'000, 0.57, 0.19, 0.19, 5, 2);
+  g.sort(2);
+  expect_packed_build_matches_reference(g, 300);
+  EXPECT_EQ(build_bitpacked_csr_from_sorted(g, 300, 4).column_bits(), 9u);
+}
+
+TEST(PackedBuild, HubRowSpanningEveryChunk) {
+  // One source owns every edge, so its run crosses every chunk boundary of
+  // the degree count and its row covers every packing block, with a few
+  // leaf rows on either side.
+  std::vector<graph::Edge> edges{{0, 1}, {0, 2}};
+  for (VertexId v = 0; v < 5'000; ++v) edges.push_back({3, v});
+  edges.push_back({9, 4});
+  const EdgeList g(std::move(edges));
+  ASSERT_TRUE(g.is_sorted());
+  expect_packed_build_matches_reference(g, 0);
+}
+
 }  // namespace
 }  // namespace pcq::csr

@@ -107,6 +107,66 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values<std::size_t>(1, 2, 63, 64, 65, 1000),
                      testing::Values(2, 3, 4, 8, 64)));
 
+// --- differential packing grid ---------------------------------------------
+//
+// Algorithm 4 splits the array at multiples of 64 elements so every
+// processor writes whole words of its own window. The storage words (not
+// just the decoded values) must equal a serial append_bits reference for
+// every width, for sizes around the block and chunk boundaries, and for
+// every processor count.
+
+BitVector serial_reference(const std::vector<std::uint64_t>& v,
+                           unsigned width) {
+  BitVector bv;
+  for (std::uint64_t x : v) bv.append_bits(x, width);
+  return bv;
+}
+
+class PackingGrid : public testing::TestWithParam<int> {};
+
+TEST_P(PackingGrid, StorageWordsEqualSerialAppendBits) {
+  const int p = GetParam();
+  const auto up = static_cast<std::size_t>(p);
+  pcq::util::SplitMix64 rng(static_cast<std::uint64_t>(p) * 7919);
+  for (unsigned width = 1; width <= 64; ++width) {
+    for (std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, 64 * up - 1, 64 * up + 1,
+          static_cast<std::size_t>(rng.next_below(64 * up * 3 + 200))}) {
+      const auto v = random_values(n, width, width * 131 + n);
+      const BitVector ref = serial_reference(v, width);
+      const auto packed = FixedWidthArray::pack_with_width(v, width, p);
+      ASSERT_EQ(packed.size(), n);
+      ASSERT_EQ(packed.width(), width);
+      const auto got = packed.bits().words();
+      const auto want = ref.words();
+      ASSERT_EQ(packed.bits().size(), ref.size())
+          << "width=" << width << " n=" << n << " p=" << p;
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "width=" << width << " n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST_P(PackingGrid, ProjectionFormEqualsWidenedInput) {
+  // Packing 32-bit values through the projection form must give the same
+  // storage as widening them to u64 first.
+  const int p = GetParam();
+  for (unsigned width : {1u, 7u, 21u, 32u}) {
+    const auto wide = random_values(64 * static_cast<std::size_t>(p) + 37,
+                                    width, width);
+    const std::vector<std::uint32_t> narrow(wide.begin(), wide.end());
+    const auto projected = FixedWidthArray::pack_with_width(
+        narrow.size(), width, p,
+        [&](std::size_t i) { return narrow[i]; });
+    EXPECT_EQ(projected, FixedWidthArray::pack_with_width(wide, width, 1))
+        << "width=" << width << " p=" << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Processors, PackingGrid,
+                         testing::Values(1, 2, 3, 4, 7, 16, 64));
+
 // --- word-streaming unpack kernel ------------------------------------------
 //
 // Hostile inputs for the bulk decoder: widths that never straddle (1),

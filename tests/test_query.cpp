@@ -226,6 +226,36 @@ TEST(IntraRowEdgeExistence, EarlyExitOnHugeRow) {
   }
 }
 
+TEST(IntraRowEdgeExistence, SameAnswersAroundTheSerialThreshold) {
+  // Rows just below two grains are searched serially; rows just above
+  // split across processors (at least kIntraRowMinGrain elements each).
+  // Neighbours are the even ids, so odd ids are misses inside the row.
+  const std::size_t two = 2 * kIntraRowMinGrain;
+  for (std::size_t deg : {two - 1, two + 1, 4 * kIntraRowMinGrain + 1}) {
+    EdgeList star;
+    star.reserve(deg);
+    for (std::size_t k = 0; k < deg; ++k)
+      star.push_back({0, static_cast<VertexId>(2 * k)});
+    const auto n = static_cast<VertexId>(2 * deg + 1);
+    const BitPackedCsr packed = build_bitpacked_csr_from_sorted(star, n, 4);
+    const auto last = static_cast<VertexId>(2 * (deg - 1));
+    const std::vector<VertexId> probes{0,        1,        last / 2,
+                                       last / 2 + 1,      last - 1,
+                                       last,     last + 1, n - 1};
+    for (const VertexId v : probes) {
+      const bool want = packed.has_edge(0, v);
+      for (int p : {1, 2, 4, 16}) {
+        EXPECT_EQ(edge_exists_intra_row(packed, 0, v, p, RowSearch::kLinear),
+                  want)
+            << "deg=" << deg << " v=" << v << " p=" << p;
+        EXPECT_EQ(edge_exists_intra_row(packed, 0, v, p, RowSearch::kBinary),
+                  want)
+            << "deg=" << deg << " v=" << v << " p=" << p;
+      }
+    }
+  }
+}
+
 // Property sweep: every algorithm at every thread count equals the oracle.
 class QueryThreadSweep : public testing::TestWithParam<int> {};
 

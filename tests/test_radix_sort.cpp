@@ -101,6 +101,99 @@ TEST(RadixSort, EdgeKeyMatchesComparisonSort) {
   EXPECT_EQ(edges, expected);
 }
 
+// --- constant digits --------------------------------------------------------
+//
+// A digit that is the same in every key has one bucket holding all n keys;
+// its scatter is skipped, so the number of live passes (and whether the
+// result ends up in the ping-pong buffer) depends on the key set. Records
+// carry their input position so stability is checked against
+// std::stable_sort, not just the key order.
+
+struct Record {
+  std::uint64_t key;
+  std::uint32_t seq;
+  friend bool operator==(const Record&, const Record&) = default;
+};
+
+/// Random keys whose byte d is drawn from [0, 4) when bit d of `live_mask`
+/// is set and fixed at `constant` otherwise (few values per live byte, so
+/// equal keys are common and stability shows).
+std::vector<Record> keys_with_digits(std::size_t n, unsigned live_mask,
+                                     std::uint64_t constant,
+                                     std::uint64_t seed) {
+  pcq::util::SplitMix64 rng(seed);
+  std::vector<Record> v(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint64_t key = 0;
+    for (unsigned d = 0; d < 8; ++d) {
+      const std::uint64_t byte =
+          (live_mask >> d) & 1 ? rng.next_below(4) : constant;
+      key |= byte << (8 * d);
+    }
+    v[i] = {key, i};
+  }
+  return v;
+}
+
+void expect_matches_stable_sort(std::vector<Record> v, int threads) {
+  auto expected = v;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Record& a, const Record& b) { return a.key < b.key; });
+  parallel_radix_sort(std::span<Record>(v), threads,
+                      [](const Record& r) { return r.key; });
+  EXPECT_EQ(v, expected) << "threads=" << threads;
+}
+
+TEST(RadixSortConstantDigits, ConstantMiddleDigit) {
+  // The edge-key shape: ids below 2^24 leave byte 3 of (u << 32) | v zero.
+  // Here byte 3 is a non-zero constant, so the max-key cut-off cannot hide
+  // it; bytes 0-2 and 4-6 are live: 6 live passes.
+  for (int threads : {1, 3, 4, 16})
+    expect_matches_stable_sort(keys_with_digits(20'000, 0x77, 0x5A, 1),
+                               threads);
+}
+
+TEST(RadixSortConstantDigits, OddNumberOfLivePasses) {
+  // Bytes 0, 2 and 4 live, bytes 1 and 3 constant: 3 live passes leave
+  // the result in the buffer and take the copy-back path.
+  for (int threads : {1, 2, 4, 7})
+    expect_matches_stable_sort(keys_with_digits(20'000, 0x15, 0xC3, 2),
+                               threads);
+}
+
+TEST(RadixSortConstantDigits, EvenNumberOfLivePasses) {
+  // Bytes 0 and 5 live, bytes 1-4 constant: 2 live passes.
+  for (int threads : {1, 2, 4, 7})
+    expect_matches_stable_sort(keys_with_digits(20'000, 0x21, 0x0F, 3),
+                               threads);
+}
+
+TEST(RadixSortConstantDigits, EveryDigitConstant) {
+  // No live pass at all: the input order is kept as it is.
+  for (int threads : {1, 4})
+    expect_matches_stable_sort(keys_with_digits(5'000, 0x00, 0x99, 4),
+                               threads);
+}
+
+TEST(RadixSortConstantDigits, EdgeKeysBelow24Bits) {
+  // The sort_radix key with ids below 2^24 and many duplicate edges.
+  using graph::Edge;
+  pcq::util::SplitMix64 rng(9);
+  std::vector<Edge> edges(40'000);
+  for (auto& e : edges)
+    e = {static_cast<graph::VertexId>(rng.next_below(1u << 24)),
+         static_cast<graph::VertexId>(rng.next_below(64))};
+  auto expected = edges;
+  std::stable_sort(expected.begin(), expected.end());
+  for (int threads : {1, 4, 16}) {
+    auto v = edges;
+    parallel_radix_sort(std::span<Edge>(v), threads, [](const Edge& e) {
+      return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
+    });
+    EXPECT_EQ(v, expected) << "threads=" << threads;
+  }
+}
+
 class RadixSortProperty
     : public testing::TestWithParam<std::tuple<std::size_t, int>> {};
 

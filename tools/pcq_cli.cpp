@@ -133,12 +133,13 @@ int cmd_compress(const util::Flags& flags, const std::string& input) {
                   ? 0.0
                   : 8.0 * static_cast<double>(packed.size_bytes()) /
                         static_cast<double>(packed.num_edges()));
-  std::printf("sort %s | degree %s | scan %s | fill %s | pack %s "
+  // The packed build has no fill phase (phases.fill is 0): pack writes
+  // jA straight from the sorted list.
+  std::printf("sort %s | degree %s | scan %s | pack %s, no fill "
               "(build total %s)\n",
               util::human_seconds(sort_s).c_str(),
               util::human_seconds(phases.degree).c_str(),
               util::human_seconds(phases.scan).c_str(),
-              util::human_seconds(phases.fill).c_str(),
               util::human_seconds(phases.pack).c_str(),
               util::human_seconds(build_s).c_str());
   std::printf("wrote %s\n", out.c_str());
