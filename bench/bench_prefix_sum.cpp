@@ -1,6 +1,6 @@
 // Ablation bench **S4**: the paper's chunked prefix sum (Algorithm 1)
-// against a sequential scan, std::inclusive_scan, and the work-efficient
-// Blelloch tree scan, across input sizes and thread counts.
+// against a sequential scan and std::inclusive_scan, across input sizes and
+// thread counts.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -61,19 +61,6 @@ BENCHMARK(BM_ChunkedScan)
     ->Args({1 << 23, 4})
     ->Args({1 << 23, 16})
     ->Args({1 << 23, 64});
-
-void BM_BlellochScan(benchmark::State& state) {
-  const auto input = make_input(static_cast<std::size_t>(state.range(0)));
-  const int threads = static_cast<int>(state.range(1));
-  std::vector<std::uint64_t> v;
-  for (auto _ : state) {
-    v = input;
-    pcq::par::blelloch_inclusive_scan(std::span<std::uint64_t>(v), threads);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BlellochScan)->Args({1 << 20, 4})->Args({1 << 23, 4});
 
 }  // namespace
 

@@ -18,6 +18,10 @@
 // is O(p) and done sequentially, which also handles the corner case the
 // paper glosses over — a run longer than an entire chunk contributes
 // several spill slots to the same node.
+//
+// Also here: the degree-distribution summaries `pcq stats` prints, which
+// show the heavy-tailed skew the synthetic graphs must share with the
+// SNAP originals (DESIGN.md's workload validation).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "csr/csr_graph.hpp"
 #include "graph/types.hpp"
 #include "obs/trace.hpp"
 #include "par/chunking.hpp"
@@ -117,5 +122,20 @@ inline std::vector<std::uint32_t> parallel_degree_from_sorted(
 /// Sequential run-counting baseline (the S5 ablation's reference).
 std::vector<std::uint32_t> sequential_degree_from_sorted(
     std::span<const graph::VertexId> sources, graph::VertexId num_nodes);
+
+struct DegreeStats {
+  std::uint32_t min = 0;
+  std::uint32_t max = 0;
+  double mean = 0;
+  double p50 = 0;   ///< median degree
+  double p99 = 0;   ///< 99th percentile degree
+  double gini = 0;  ///< inequality of the degree distribution, [0, 1)
+};
+
+DegreeStats degree_stats(const CsrGraph& g, int num_threads);
+
+/// Log2-bucketed degree histogram: result[k] = #nodes with degree in
+/// [2^k, 2^(k+1)) (bucket 0 additionally holds degree-0 nodes).
+std::vector<std::uint64_t> degree_histogram_log2(const CsrGraph& g);
 
 }  // namespace pcq::csr

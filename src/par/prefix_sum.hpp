@@ -19,10 +19,9 @@
 //
 // The scan is generic over the combining operation: ordinary + for degree
 // arrays, and symmetric difference (XOR of edge sets) for the time-evolving
-// differential CSR of Section IV, which reuses this exact schedule.
-//
-// Also provided: a sequential scan and a work-efficient Blelloch tree scan,
-// both used as baselines by the S4 ablation bench.
+// differential CSR of Section IV, which reuses this exact schedule. It is
+// the library's one parallel scan; the sequential scan below is the S4
+// ablation bench's baseline and the serial fallback for a single chunk.
 #pragma once
 
 #include <cstdint>
@@ -91,53 +90,6 @@ void chunked_inclusive_scan(std::span<T> v, int num_threads, Op op = {}) {
                             v[i] = op(carry, v[i]);
                         });
   }
-}
-
-/// Work-efficient Blelloch (1990) tree scan: O(n) work, O(log n) depth.
-/// Upsweep builds partial sums in place; downsweep distributes prefixes.
-/// Kept as an ablation baseline against the paper's chunked formulation.
-template <typename T, typename Op = std::plus<T>>
-void blelloch_inclusive_scan(std::span<T> v, int num_threads, Op op = {}) {
-  const std::size_t n = v.size();
-  if (n < 2) return;
-  const int p = clamp_threads(num_threads);
-
-  // The classic tree schedule assumes a power-of-two length; pad with the
-  // identity T{} (valid for the arithmetic and set types in this codebase).
-  std::size_t m = 1;
-  while (m < n) m <<= 1;
-  std::vector<T> tree(m, T{});
-  parallel_for(n, p, [&](std::size_t i) { tree[i] = v[i]; });
-
-  // Upsweep (reduce): for d = 1, 2, 4, ... combine pairs of subtree sums.
-  for (std::size_t d = 1; d < m; d <<= 1) {
-    const std::size_t stride = d << 1;
-    parallel_for(m / stride, p, [&](std::size_t k) {
-      tree[k * stride + stride - 1] =
-          op(tree[k * stride + d - 1], tree[k * stride + stride - 1]);
-    });
-  }
-
-  // Downsweep: clear the root, then push prefixes down the tree, turning
-  // the reduction tree into an exclusive scan.
-  tree[m - 1] = T{};
-  for (std::size_t d = m >> 1; d >= 1; d >>= 1) {
-    const std::size_t stride = d << 1;
-    parallel_for(m / stride, p, [&](std::size_t k) {
-      const std::size_t left = k * stride + d - 1;
-      const std::size_t right = k * stride + stride - 1;
-      // Left child inherits the parent's prefix; the right child's prefix
-      // is parent-prefix ∘ left-subtree-sum — in that order, so the scan
-      // stays correct for non-commutative monoids.
-      const T left_sum = tree[left];
-      const T parent_prefix = tree[right];
-      tree[left] = parent_prefix;
-      tree[right] = op(parent_prefix, left_sum);
-    });
-  }
-
-  // Exclusive -> inclusive: fold each original element back in.
-  parallel_for(n, p, [&](std::size_t i) { v[i] = op(tree[i], v[i]); });
 }
 
 /// Converts a per-node degree array into a CSR offset array of size

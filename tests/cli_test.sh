@@ -14,6 +14,14 @@ printf "# comment line\n0 1\n1 2\n2 0\n0 2\n" > "$TMP/g.txt"
 
 "$PCQ" compress "$TMP/g.txt" --out "$TMP/g.csr" | grep -q "compressed 3 nodes / 4 edges"
 "$PCQ" stats "$TMP/g.csr" | grep -q "edges        4"
+
+# Degree summary and histogram on a graph with isolated nodes (2 and 3 have
+# no out-edges): bucket 0 holds degrees 0 and 1, so it must read [0, 2).
+printf "0 1\n1 0\n0 3\n" > "$TMP/iso.txt"
+"$PCQ" stats "$TMP/iso.txt" > "$TMP/iso.out"
+grep -qF "degree       mean 0.75 | median 1 | p99 2 | max 2 | gini 0.583" "$TMP/iso.out"
+grep -qF "  [      0,       2): 3" "$TMP/iso.out"
+grep -qF "  [      2,       4): 1" "$TMP/iso.out"
 "$PCQ" query "$TMP/g.csr" --edge 0,1 | grep -q "present"
 "$PCQ" query "$TMP/g.csr" --edge 1,0 | grep -q "absent"
 "$PCQ" query "$TMP/g.csr" --node 0 | grep -q "neighbors(0) \[2\]: 1 2"

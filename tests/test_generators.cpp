@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "algos/stats.hpp"
 #include "csr/builder.hpp"
+#include "csr/degree.hpp"
 
 namespace pcq::graph {
 namespace {
@@ -65,9 +65,9 @@ TEST(Rmat, SkewedDegreesUnlikeUniform) {
   r.sort(4);
   e.sort(4);
   const auto stats_r =
-      pcq::algos::degree_stats(csr::build_csr_from_sorted(r, n, 4), 4);
+      csr::degree_stats(csr::build_csr_from_sorted(r, n, 4), 4);
   const auto stats_e =
-      pcq::algos::degree_stats(csr::build_csr_from_sorted(e, n, 4), 4);
+      csr::degree_stats(csr::build_csr_from_sorted(e, n, 4), 4);
   EXPECT_GT(stats_r.max, stats_e.max * 3);
   EXPECT_GT(stats_r.gini, stats_e.gini + 0.1);
 }

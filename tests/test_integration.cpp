@@ -1,17 +1,13 @@
 // End-to-end integration tests: the full paper pipeline — generate (or
 // load) an edge list, sort, build the bit-packed CSR in parallel, query it,
-// run analytics, and round-trip through disk — at multiple thread counts.
+// and round-trip through disk — at multiple thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <numeric>
 
-#include "algos/bfs.hpp"
-#include "algos/components.hpp"
-#include "algos/pagerank.hpp"
-#include "algos/stats.hpp"
 #include "csr/builder.hpp"
+#include "csr/degree.hpp"
 #include "csr/query.hpp"
 #include "dyn/hybrid.hpp"
 #include "graph/baselines.hpp"
@@ -98,25 +94,6 @@ TEST(Integration, DiskRoundTripThenFullPipeline) {
       csr::build_bitpacked_csr_from_sorted(original, 512, 4);
   EXPECT_TRUE(a.packed_columns() == b.packed_columns());
   std::filesystem::remove_all(dir);
-}
-
-TEST(Integration, AnalyticsOnPackedEqualsPlain) {
-  EdgeList list = graph::rmat(1 << 9, 15'000, 0.57, 0.19, 0.19, 13, 4);
-  list.symmetrize();
-  list.sort(4);
-  list.dedupe();
-  const VertexId n = 1 << 9;
-  const csr::CsrGraph plain = csr::build_csr_from_sorted(list, n, 4);
-  const csr::BitPackedCsr packed = csr::BitPackedCsr::from_csr(plain, 4);
-
-  EXPECT_EQ(algos::bfs(packed, 0, 4), algos::bfs(plain, 0, 4));
-
-  const auto labels = algos::connected_components_label_prop(plain, 4);
-  EXPECT_EQ(labels, algos::connected_components_union_find(plain));
-
-  const auto pr = algos::pagerank(plain, {}, 4);
-  EXPECT_NEAR(std::accumulate(pr.scores.begin(), pr.scores.end(), 0.0), 1.0,
-              1e-6);
 }
 
 TEST(Integration, TemporalPipelineEndToEnd) {
@@ -220,14 +197,14 @@ TEST(Integration, AllCompressedStructuresAgreeOnQueries) {
 
 TEST(Integration, DegreeDistributionSurvivesCompression) {
   // Stats computed on the unpacked form of the packed CSR equal stats on
-  // the plain CSR — compression is lossless for analytics.
+  // the plain CSR — compression is lossless for the degree distribution.
   EdgeList list = graph::make_preset_graph(
       graph::preset_by_name("WebNotreDame"), 0.02, 31, 4);
   const csr::CsrGraph plain =
       csr::build_csr_from_sorted(list, list.num_nodes(), 4);
   const csr::BitPackedCsr packed = csr::BitPackedCsr::from_csr(plain, 4);
-  const auto a = algos::degree_stats(plain, 4);
-  const auto b = algos::degree_stats(packed.to_csr(), 4);
+  const auto a = csr::degree_stats(plain, 4);
+  const auto b = csr::degree_stats(packed.to_csr(), 4);
   EXPECT_EQ(a.max, b.max);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.gini, b.gini);

@@ -158,6 +158,30 @@ TEST(ParallelForChunks, TeamPersistsAcrossCalls) {
   }
 }
 
+TEST(ParallelForChunks, RoundsReadPlainSlotsWrittenByOtherChunks) {
+  // Round-synchronous loops (a frontier sweep, a label-propagation pass)
+  // fork many times from one caller, and each round reads plain slots that
+  // other team members wrote in the round before. Only the fork-join
+  // boundary orders those accesses; TSan flags a runtime that misses it.
+  constexpr int kRounds = 1000;
+  for (int p : {2, 4, 16}) {
+    const auto np = static_cast<std::size_t>(p);
+    std::vector<std::uint64_t> prev(np), next(np), expect(np), scratch(np);
+    std::iota(prev.begin(), prev.end(), std::uint64_t{1});
+    expect = prev;
+    for (int round = 0; round < kRounds; ++round) {
+      parallel_for_chunks(np, p, [&](std::size_t c, ChunkRange) {
+        next[c] = prev[(c + 1) % np] * 3 + c;
+      });
+      std::swap(prev, next);
+      for (std::size_t c = 0; c < np; ++c)
+        scratch[c] = expect[(c + 1) % np] * 3 + c;
+      std::swap(expect, scratch);
+    }
+    EXPECT_EQ(prev, expect) << "p=" << p;
+  }
+}
+
 TEST(ParallelForChunks, NestedCallRunsInlineInChunkOrder) {
   constexpr std::size_t kOuter = 4;
   constexpr std::size_t kInner = 300;

@@ -77,15 +77,6 @@ TEST(ChunkedScan, GenericMonoidXor) {
   EXPECT_EQ(v, expected);
 }
 
-TEST(BlellochScan, MatchesReferenceNonPowerOfTwo) {
-  for (std::size_t n : {1u, 2u, 3u, 5u, 63u, 64u, 65u, 1000u}) {
-    auto v = random_values(n, n);
-    const auto expected = reference_scan(v);
-    blelloch_inclusive_scan(std::span<std::uint64_t>(v), 4);
-    EXPECT_EQ(v, expected) << "n=" << n;
-  }
-}
-
 TEST(OffsetsFromDegrees, BasicShape) {
   // Paper Figure 1: degrees of the 10-node example's upper triangle.
   std::vector<std::uint32_t> degrees{1, 2, 1, 2, 1, 0, 0, 0, 0, 0};
@@ -126,22 +117,6 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values<std::size_t>(0, 1, 2, 3, 15, 16, 17, 100,
                                                   1023, 4096, 100003),
                      testing::Values(1, 2, 3, 4, 8, 16, 64)));
-
-class BlellochScanProperty
-    : public testing::TestWithParam<std::tuple<std::size_t, int>> {};
-
-TEST_P(BlellochScanProperty, MatchesReference) {
-  const auto [n, threads] = GetParam();
-  auto v = random_values(n, 999 + n + threads);
-  const auto expected = reference_scan(v);
-  blelloch_inclusive_scan(std::span<std::uint64_t>(v), threads);
-  EXPECT_EQ(v, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BlellochScanProperty,
-    testing::Combine(testing::Values<std::size_t>(1, 2, 7, 64, 100, 1000),
-                     testing::Values(1, 4, 16)));
 
 }  // namespace
 }  // namespace pcq::par

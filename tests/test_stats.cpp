@@ -1,11 +1,11 @@
-#include "algos/stats.hpp"
+#include "csr/degree.hpp"
 
 #include <gtest/gtest.h>
 
 #include "csr/builder.hpp"
 #include "graph/generators.hpp"
 
-namespace pcq::algos {
+namespace pcq::csr {
 namespace {
 
 using graph::EdgeList;
@@ -15,7 +15,7 @@ TEST(DegreeStats, UniformRing) {
   EdgeList g;
   for (VertexId v = 0; v < 100; ++v) g.push_back({v, (v + 1) % 100});
   g.sort(2);
-  const csr::CsrGraph csr = csr::build_csr_from_sorted(g, 100, 2);
+  const CsrGraph csr = build_csr_from_sorted(g, 100, 2);
   const DegreeStats s = degree_stats(csr, 4);
   EXPECT_EQ(s.min, 1u);
   EXPECT_EQ(s.max, 1u);
@@ -27,7 +27,7 @@ TEST(DegreeStats, StarGraphInequality) {
   EdgeList g;
   for (VertexId v = 1; v < 100; ++v) g.push_back({0, v});
   g.sort(2);
-  const csr::CsrGraph csr = csr::build_csr_from_sorted(g, 100, 2);
+  const CsrGraph csr = build_csr_from_sorted(g, 100, 2);
   const DegreeStats s = degree_stats(csr, 4);
   EXPECT_EQ(s.max, 99u);
   EXPECT_EQ(s.min, 0u);
@@ -36,7 +36,7 @@ TEST(DegreeStats, StarGraphInequality) {
 }
 
 TEST(DegreeStats, EmptyGraph) {
-  const DegreeStats s = degree_stats(csr::CsrGraph{}, 4);
+  const DegreeStats s = degree_stats(CsrGraph{}, 4);
   EXPECT_EQ(s.max, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
@@ -44,7 +44,7 @@ TEST(DegreeStats, EmptyGraph) {
 TEST(DegreeStats, MeanIsEdgesOverNodes) {
   EdgeList g = graph::erdos_renyi(200, 5000, 99, 4);
   g.sort(4);
-  const csr::CsrGraph csr = csr::build_csr_from_sorted(g, 200, 4);
+  const CsrGraph csr = build_csr_from_sorted(g, 200, 4);
   const DegreeStats s = degree_stats(csr, 4);
   EXPECT_NEAR(s.mean, 5000.0 / 200, 1e-9);
 }
@@ -52,7 +52,7 @@ TEST(DegreeStats, MeanIsEdgesOverNodes) {
 TEST(DegreeHistogram, BucketsPartitionNodes) {
   EdgeList g = graph::rmat(512, 20'000, 0.57, 0.19, 0.19, 101, 4);
   g.sort(4);
-  const csr::CsrGraph csr = csr::build_csr_from_sorted(g, 512, 4);
+  const CsrGraph csr = build_csr_from_sorted(g, 512, 4);
   const auto hist = degree_histogram_log2(csr);
   std::uint64_t total = 0;
   for (auto c : hist) total += c;
@@ -68,7 +68,7 @@ TEST(DegreeHistogram, KnownBuckets) {
   for (VertexId i = 0; i < 2; ++i) g.push_back({1, i});
   for (VertexId i = 0; i < 5; ++i) g.push_back({2, i});
   g.sort(2);
-  const csr::CsrGraph csr = csr::build_csr_from_sorted(g, 5, 2);
+  const CsrGraph csr = build_csr_from_sorted(g, 5, 2);
   const auto hist = degree_histogram_log2(csr);
   ASSERT_EQ(hist.size(), 3u);
   EXPECT_EQ(hist[0], 3u);  // degrees 0, 0 and 1
@@ -77,4 +77,4 @@ TEST(DegreeHistogram, KnownBuckets) {
 }
 
 }  // namespace
-}  // namespace pcq::algos
+}  // namespace pcq::csr

@@ -26,9 +26,9 @@
 #include <iostream>
 #include <string>
 
-#include "algos/stats.hpp"
 #include "check/validate.hpp"
 #include "csr/builder.hpp"
+#include "csr/degree.hpp"
 #include "csr/query.hpp"
 #include "csr/serialize.hpp"
 #include "graph/baselines.hpp"
@@ -161,18 +161,20 @@ int cmd_stats(const util::Flags& flags, const std::string& input) {
     compressed_bytes =
         csr::BitPackedCsr::from_csr(csr, threads).size_bytes();
   }
-  const auto stats = algos::degree_stats(csr, threads);
+  const auto stats = csr::degree_stats(csr, threads);
   std::printf("nodes        %s\n", util::with_commas(csr.num_nodes()).c_str());
   std::printf("edges        %s\n", util::with_commas(csr.num_edges()).c_str());
   std::printf("packed size  %s\n", util::human_bytes(compressed_bytes).c_str());
   std::printf("degree       mean %.2f | median %.0f | p99 %.0f | max %u | "
               "gini %.3f\n",
               stats.mean, stats.p50, stats.p99, stats.max, stats.gini);
-  const auto hist = algos::degree_histogram_log2(csr);
+  const auto hist = csr::degree_histogram_log2(csr);
   std::printf("degree histogram (log2 buckets):\n");
+  // Bucket 0 also holds the degree-0 nodes; the bounds are 64-bit so the
+  // top bucket of a 32-bit degree, [2^31, 2^32), does not wrap.
   for (std::size_t k = 0; k < hist.size(); ++k)
-    std::printf("  [%7u, %7u): %s\n", 1u << k, 2u << k,
-                util::with_commas(hist[k]).c_str());
+    std::printf("  [%7llu, %7llu): %s\n", k == 0 ? 0ull : 1ull << k,
+                2ull << k, util::with_commas(hist[k]).c_str());
   return 0;
 }
 
